@@ -10,7 +10,7 @@ BENCHOUT ?= BENCH_core.json
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: all build test race vet lint latchlint vulncheck charvet tracesmoke batchsmoke servesmoke clustersmoke benchserve bench benchsmoke mcsmoke ci clean
+.PHONY: all build test race vet fmt lint latchlint vulncheck charvet tracesmoke batchsmoke servesmoke clustersmoke benchserve bench benchsmoke mcsmoke ci clean
 
 all: build
 
@@ -31,11 +31,16 @@ race:
 vet: charvet
 	$(GO) vet ./...
 
-# lint is the full source-level gate: go vet, charvet over the shipped
-# setups, the latchlint pass suite over the whole tree, and staticcheck when
-# installed at the pinned version (environments without it skip with a
-# notice instead of failing the build).
-lint: vet latchlint
+# fmt fails when any tracked Go file is not gofmt-formatted.
+fmt:
+	@out="$$(gofmt -l $$(git ls-files '*.go'))"; \
+	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+
+# lint is the full source-level gate: gofmt, go vet, charvet over the
+# shipped setups, the latchlint pass suite over the whole tree, and
+# staticcheck when installed at the pinned version (environments without it
+# skip with a notice instead of failing the build).
+lint: fmt vet latchlint
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \

@@ -17,7 +17,7 @@ import (
 // the contour the output saturates and the fast path's bypass staleness
 // alone exceeds the gate, on the scalar path just as much as on the block
 // path). One evaluator serves both paths, so calibration and grid are
-// identical and the comparison isolates the lockstep kernel.
+// identical and the comparison isolates the block kernel.
 func TestBlockEvalMatchesScalarOnDecks(t *testing.T) {
 	const gate = 3e-6
 	decks, err := filepath.Glob(filepath.Join("examples", "netlists", "*.cir"))
@@ -174,7 +174,6 @@ func TestBlockTraceAccuracyGate(t *testing.T) {
 		t.Errorf("block-traced contour violates the exact state-transition equation by %.3g V (gate %.3g V)",
 			worst, hGate)
 	}
-	t.Logf("%d contour points, worst |h_exact| %.3g V, shared steps %d, donor replays %d, peel-offs %d",
-		len(res.Contour.Points), worst,
-		res.Stats.BlockSharedSteps, res.Stats.BlockDonorReplays, res.Stats.BlockPeelOffs)
+	t.Logf("%d contour points, worst |h_exact| %.3g V, shared steps %d, peel-offs %d",
+		len(res.Contour.Points), worst, res.Stats.BlockSharedSteps, res.Stats.BlockPeelOffs)
 }

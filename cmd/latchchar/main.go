@@ -44,7 +44,7 @@ func run(args []string) error {
 		energy   = fs.Bool("energy", false, "add a per-point supply-energy column (csv format only)")
 		method   = fs.String("method", "be", "integration method: be or trap")
 		fast     = fs.Bool("fast", false, "enable the chord/bypass Newton fast path (chord iterations + device-eval latency)")
-		block    = fs.Int("block", 0, "predictor lookahead width: correct N predicted points per cycle as one lockstep block-transient (0 or 1 = scalar)")
+		block    = fs.Int("block", 0, "predictor lookahead width: correct N predicted points per cycle as one block-transient (0 or 1 = scalar)")
 		degrade  = fs.Float64("degrade", 0.10, "clock-to-Q degradation defining setup/hold")
 		maxSkew  = fs.Float64("maxskew", 1000, "skew domain bound in picoseconds")
 		format   = fs.String("format", "csv", "output format: csv, json or lib (Liberty fragment)")

@@ -40,7 +40,7 @@ func run(args []string) error {
 		hMax      = fs.Float64("hmax", 800, "maximum hold skew (ps)")
 		workers   = fs.Int("workers", 0, "worker count (0 = GOMAXPROCS)")
 		fast      = fs.Bool("fast", false, "enable the chord/bypass Newton fast path (chord iterations + device-eval latency)")
-		block     = fs.Int("block", 0, "block-transient lane count: evaluate each grid row in N-lane lockstep chunks (0 or 1 = scalar; output-level surface only)")
+		block     = fs.Int("block", 0, "block-transient lane count: evaluate each grid row in N-lane chunks (0 or 1 = scalar; output-level surface only)")
 		delayMode = fs.Bool("delay", false, "generate the clock-to-Q delay surface (the paper's primary formulation) instead of the output-level surface")
 		surfOut   = fs.String("surface", "-", "surface CSV path (- for stdout)")
 		contOut   = fs.String("contour", "", "extracted-contour CSV path (empty = skip)")

@@ -1,10 +1,18 @@
 package circuit
 
+// ConductiveDevice is implemented by devices that provide a DC conduction
+// path between unknowns (resistors, sources, MOSFET channels). Devices that
+// do not implement it (capacitors) contribute no conductive edges.
+type ConductiveDevice interface {
+	Device
+	// ConductivePairs returns terminal pairs that can conduct DC current.
+	ConductivePairs() [][2]UnknownID
+}
+
 // Topology is a static connectivity summary of a finalized circuit: how many
 // device terminals and conductive device terminals touch each node, and which
 // nodes can reach ground through chains of conductive devices. It is the
-// shared substrate for the structural analyzers in internal/vet and for the
-// legacy Lint adapter.
+// substrate for the structural analyzers in internal/vet.
 //
 // "Conductive" is topological, not electrical: a MOSFET channel counts as a
 // conductive edge even at biases where it is off, so dynamic storage nodes

@@ -10,11 +10,10 @@ import (
 )
 
 // BlockProblem is a Problem that can evaluate a block of nearby points with
-// one lockstep multi-lane computation (for the circuit problem: one
-// block-transient, internal/stf.Evaluator.EvalGradBlock). errs reports
-// per-lane failures without invalidating the other lanes; the final error is
-// reserved for whole-block failures (cancellation, invalid input), which
-// void every lane.
+// one multi-lane computation (for the circuit problem: one block-transient,
+// internal/stf.Evaluator.EvalGradBlock). errs reports per-lane failures
+// without invalidating the other lanes; the final error is reserved for
+// whole-block failures (cancellation, invalid input), which void every lane.
 type BlockProblem interface {
 	Problem
 	EvalGradBlock(tauS, tauH []float64) (h, dhdS, dhdH []float64, errs []error, err error)
@@ -26,7 +25,7 @@ func SolveMPNRBlock(p BlockProblem, tauS0, tauH0 []float64, opts MPNROptions) ([
 }
 
 // SolveMPNRBlockCtx runs the Moore-Penrose corrector on a bundle of starting
-// guesses as one lockstep block-transient computation — the batch sibling of
+// guesses as one block-transient computation per sweep — the batch sibling of
 // SolveMPNRCtx. Per-lane outcomes land in the result and error slices
 // (errs[i] is nil iff lane i converged); the final error is reserved for
 // cancellation and invalid input.

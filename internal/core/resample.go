@@ -91,12 +91,11 @@ func ResampleContourBlock(p BlockProblem, c *Contour, n, block int, opts MPNROpt
 
 // ResampleContourBlockCtx is ResampleContourCtx with the per-point MPNR
 // polish batched through the block-transient kernel: the n interpolated
-// seeds are corrected in chunks of up to block lockstep lanes, sharing
-// Jacobian factorizations and batched device evaluation exactly as the
-// block tracer does. This is the warm-start kernel of the variance-aware
-// Monte-Carlo flow — a process sample's whole probe contour is one or two
-// block solves seeded from the nominal contour. block < 2 falls back to the
-// scalar resampler.
+// seeds are corrected in chunks of up to block lanes, sharing their
+// stimulus prefix exactly as the block tracer does. This is the warm-start
+// kernel of the variance-aware Monte-Carlo flow — a process sample's whole
+// probe contour is one or two block solves seeded from the nominal contour.
+// block < 2 falls back to the scalar resampler.
 func ResampleContourBlockCtx(ctx context.Context, p BlockProblem, c *Contour, n, block int, opts MPNROptions) (*Contour, error) {
 	if block < 2 {
 		return ResampleContourCtx(ctx, p, c, n, opts)

@@ -1,9 +1,6 @@
 package lint
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // TestLoadModule exercises the offline driver end to end on the repository
 // itself: go list -export enumeration, export-data type checking, the module
@@ -25,17 +22,12 @@ func TestLoadModule(t *testing.T) {
 			t.Fatalf("package %s loaded without types or syntax", p.PkgPath)
 		}
 	}
-	// The deprecation index must see the known legacy identifiers. (The v1
-	// per-call Workers aliases are gone as of v3; circuit.Lint carries the
-	// remaining in-tree Deprecated marker.)
-	found := false
-	for key := range mod.Deprecated {
-		if strings.HasSuffix(key, "internal/circuit.Circuit.Lint") {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("module index did not record the deprecated circuit.Lint method: %v", mod.Deprecated)
+	// The tree carries no "Deprecated:" markers (the last one, circuit.Lint,
+	// is gone), so the deprecation index over it must be empty: an entry
+	// here is a false positive of the index builder. TestDeprecated covers
+	// the positive case on testdata.
+	if len(mod.Deprecated) != 0 {
+		t.Errorf("module index recorded deprecated identifiers on a tree that has none: %v", mod.Deprecated)
 	}
 
 	findings, err := RunAnalyzers(pkgs, All())

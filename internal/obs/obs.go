@@ -70,11 +70,10 @@ const (
 	CtrJacobianReuses = "jacobian_reuses"
 	CtrDeviceBypasses = "device_bypasses"
 	CtrRuntimeSamples = "runtime_samples"
-	// Block-transient kernel (internal/transient.BlockEngine).
-	CtrBlockRuns         = "block_runs"
-	CtrBlockPeelOffs     = "block_peel_offs"
-	CtrBlockSharedSteps  = "block_shared_steps"
-	CtrBlockDonorReplays = "block_donor_replays"
+	// Block-transient kernel (internal/transient.Engine.RunLanes).
+	CtrBlockRuns        = "block_runs"
+	CtrBlockPeelOffs    = "block_peel_offs"
+	CtrBlockSharedSteps = "block_shared_steps"
 	// Variance-aware Monte-Carlo (statistical contours): nominal-seeded
 	// probe solves, transients avoided vs naive re-characterization, and
 	// samples folded into the control-variate delta estimator.

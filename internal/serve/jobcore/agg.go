@@ -55,7 +55,6 @@ func (a *obsAgg) init() {
 		obs.CtrBlockRuns:              0,
 		obs.CtrBlockPeelOffs:          0,
 		obs.CtrBlockSharedSteps:       0,
-		obs.CtrBlockDonorReplays:      0,
 		obs.CtrMCWarmSeeds:            0,
 		obs.CtrMCSimsSaved:            0,
 		obs.CtrMCCVApplied:            0,

@@ -266,17 +266,16 @@ func RenderResult(cell string, res *latchchar.Result) *serveclient.ResultJSON {
 			Rising:      res.Calibration.Rising,
 		},
 		Stats: serveclient.StatsJSON{
-			Steps:             res.Stats.Steps,
-			NewtonIters:       res.Stats.NewtonIters,
-			Factorizations:    res.Stats.Factorizations,
-			SensSolves:        res.Stats.SensSolves,
-			ChordIters:        res.Stats.ChordIters,
-			JacobianReuses:    res.Stats.JacobianReuses,
-			DeviceBypasses:    res.Stats.DeviceBypasses,
-			BlockSharedSteps:  res.Stats.BlockSharedSteps,
-			BlockPeelOffs:     res.Stats.BlockPeelOffs,
-			BlockDonorReplays: res.Stats.BlockDonorReplays,
-			WallMS:            DurMS(res.Stats.Wall),
+			Steps:            res.Stats.Steps,
+			NewtonIters:      res.Stats.NewtonIters,
+			Factorizations:   res.Stats.Factorizations,
+			SensSolves:       res.Stats.SensSolves,
+			ChordIters:       res.Stats.ChordIters,
+			JacobianReuses:   res.Stats.JacobianReuses,
+			DeviceBypasses:   res.Stats.DeviceBypasses,
+			BlockSharedSteps: res.Stats.BlockSharedSteps,
+			BlockPeelOffs:    res.Stats.BlockPeelOffs,
+			WallMS:           DurMS(res.Stats.Wall),
 		},
 	}
 	if res.Contour != nil {

@@ -168,19 +168,6 @@ func (m *CSR) Clone() *CSR {
 	}
 }
 
-// PatternClone returns a matrix sharing m's symbolic structure (RowPtr and
-// Col alias m's slices, which callers must treat as read-only) with fresh
-// zeroed values. The block-transient lanes use this so one symbolic analysis
-// serves every lane of a block.
-func (m *CSR) PatternClone() *CSR {
-	return &CSR{
-		N:      m.N,
-		RowPtr: m.RowPtr,
-		Col:    m.Col,
-		Val:    make([]float64, len(m.Val)),
-	}
-}
-
 // ToDense converts to a dense matrix; intended for tests and debugging.
 func (m *CSR) ToDense() *linalg.Matrix {
 	d := linalg.NewMatrix(m.N, m.N)

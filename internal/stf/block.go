@@ -21,7 +21,7 @@ func (c Config) WithFastPath() Config {
 }
 
 // blockSplit returns the earliest time the lanes' stimuli can differ — the
-// shared-prefix horizon handed to the block engine. The data pulse (and its
+// shared-prefix horizon handed to the lane run. The data pulse (and its
 // skew derivatives) depends on τs only within the leading ramp starting at
 // Edge50 − τs − Rise/2 and on τh only within the trailing ramp starting at
 // Edge50 + τh − Fall/2, so lanes agreeing on an axis share that axis's
@@ -54,32 +54,19 @@ func minMax(v []float64) (lo, hi float64) {
 	return lo, hi
 }
 
-// blockEngine returns (building on first use) the k-lane block engine for
-// plain or gradient-carrying transients. Engines are cached per lane count;
-// every lane aliases the reference lane's symbolic analysis.
-func (e *Evaluator) blockEngine(k int, skews bool) *transient.BlockEngine {
-	cache := &e.blkPlain
-	if skews {
-		cache = &e.blkGrad
-	}
-	if *cache == nil {
-		*cache = make(map[int]*transient.BlockEngine)
-	}
-	if be := (*cache)[k]; be != nil {
-		return be
-	}
-	be := transient.NewBlockEngine(e.inst.Circuit, e.cfg.transientOptions(skews), k, func(lane int) {
-		e.inst.Data.SetSkews(e.blkS[lane], e.blkH[lane])
+// runLanes integrates one lane per skew pair on eng (engPlain or engGrad),
+// sharing the stimulus prefix the pairs have in common.
+func (e *Evaluator) runLanes(eng *transient.Engine, tauS, tauH []float64) (*transient.BlockResult, error) {
+	return eng.RunLanes(e.ctx, e.run, e.x0, e.grid, e.blockSplit(tauS, tauH), len(tauS), func(lane int) {
+		e.inst.Data.SetSkews(tauS[lane], tauH[lane])
 	})
-	(*cache)[k] = be
-	return be
 }
 
-// EvalBlock computes h(τs, τh) for a block of skew pairs with one lockstep
-// multi-lane transient (transient.BlockEngine): nearby points share the
-// exact stimulus prefix, the lane Jacobian and bypassed device stamps. Lanes
-// that peel off the block are retried on the scalar path, so the result is
-// defined for every point or the call errors.
+// EvalBlock computes h(τs, τh) for a block of skew pairs with one lane run
+// (transient.Engine.RunLanes): the points integrate their common stimulus
+// prefix once, then each runs its own tail. Lanes that peel off the block
+// are retried on the scalar path, so the result is defined for every point
+// or the call errors.
 func (e *Evaluator) EvalBlock(tauS, tauH []float64) ([]float64, error) {
 	k := len(tauS)
 	if len(tauH) != k {
@@ -95,10 +82,7 @@ func (e *Evaluator) EvalBlock(tauS, tauH []float64) ([]float64, error) {
 		}
 		return []float64{h}, nil
 	}
-	be := e.blockEngine(k, false)
-	e.blkS = append(e.blkS[:0], tauS...)
-	e.blkH = append(e.blkH[:0], tauH...)
-	res, err := be.RunCtx(e.ctx, e.run, e.x0, e.grid, e.blockSplit(tauS, tauH))
+	res, err := e.runLanes(e.engPlain, tauS, tauH)
 	if err != nil {
 		return nil, err
 	}
@@ -141,10 +125,7 @@ func (e *Evaluator) EvalGradBlock(tauS, tauH []float64) (h, dhdS, dhdH []float64
 		h[0], dhdS[0], dhdH[0], err = e.EvalGrad(tauS[0], tauH[0])
 		return h, dhdS, dhdH, errs, err
 	}
-	be := e.blockEngine(k, true)
-	e.blkS = append(e.blkS[:0], tauS...)
-	e.blkH = append(e.blkH[:0], tauH...)
-	res, rerr := be.RunCtx(e.ctx, e.run, e.x0, e.grid, e.blockSplit(tauS, tauH))
+	res, rerr := e.runLanes(e.engGrad, tauS, tauH)
 	if rerr != nil {
 		return nil, nil, nil, nil, rerr
 	}

@@ -154,12 +154,6 @@ type Evaluator struct {
 	engPlain *transient.Engine
 	engGrad  *transient.Engine
 
-	// Block-transient lanes (EvalBlock/EvalGradBlock): engines cached per
-	// lane count, plus the current block's skews for the setLane hook.
-	blkPlain   map[int]*transient.BlockEngine
-	blkGrad    map[int]*transient.BlockEngine
-	blkS, blkH []float64
-
 	// PlainEvals and GradEvals count transient simulations by kind; the
 	// paper's cost comparisons are expressed in these.
 	PlainEvals, GradEvals int

@@ -116,8 +116,8 @@ func GenerateCtx(ctx context.Context, run *obs.Run, sAxis, hAxis []float64, fact
 
 // BlockEvalFunc evaluates one full grid row — fixed s, the whole h axis — in
 // a single call, writing f(s, h[j]) into out[j]. The circuit implementation
-// runs the row as one lockstep block-transient (stf.Evaluator.EvalBlock), so
-// the row shares its stimulus prefix and Jacobians across the h samples.
+// runs the row as one block-transient (stf.Evaluator.EvalBlock), so the h
+// samples integrate their shared stimulus prefix once.
 type BlockEvalFunc func(s float64, h, out []float64) error
 
 // BlockFactory builds one independent BlockEvalFunc per worker; the function

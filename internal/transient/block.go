@@ -2,86 +2,16 @@ package transient
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"math"
-	"runtime/pprof"
 	"time"
 
-	"latchchar/internal/circuit"
-	"latchchar/internal/num"
 	"latchchar/internal/obs"
-	"latchchar/internal/sparse"
 )
 
-// BlockEngine advances K transients of one circuit in lockstep — the
-// vectorized multi-point kernel of DESIGN §13. Each lane is a full scalar
-// Engine (structure-of-arrays state: lane-major vectors, shared symbolic
-// analysis via newEngine's prototype path), but the lanes cooperate:
-//
-//   - Shared exact prefix: the caller passes tSplit, the earliest time any
-//     lane's stimulus can differ. Until then every lane is bit-identical, so
-//     only the reference lane integrates and the followers inherit its state
-//     at the fork — K−1 lane-steps saved per prefix step, counted in
-//     Stats.BlockSharedSteps.
-//   - Shared Jacobian: after the fork, follower Newton iterations first try a
-//     chord back-substitution against the reference lane's standing
-//     factorization (gated exactly like the scalar chord: α match, age,
-//     contraction). Residuals stay exact per lane, so accepted solutions
-//     satisfy the same tolerances as full Newton.
-//   - Batched device evaluation: a follower's first Newton iteration offers
-//     every bypassable device the reference lane's stamp tape
-//     (circuit.Eval.AtWithDonor), amortizing MOSFET model math across lanes
-//     whose terminal voltages agree within the bypass tolerance.
-//   - Peel-off: a lane whose Newton iteration fails records its error and
-//     drops out; the remaining lanes continue unharmed. Callers retry peeled
-//     lanes on the scalar path.
-//
-// A BlockEngine is not safe for concurrent use.
-type BlockEngine struct {
-	c     *circuit.Circuit
-	opts  Options
-	lanes []*Engine
-	// setLane installs lane k's stimulus parameters (the skews) on the shared
-	// circuit before any of that lane's device evaluations. The lanes share
-	// one Circuit whose data source is mutable state, so every burst of
-	// lane-k work is preceded by setLane(k).
-	setLane func(lane int)
-
-	timed bool
-	prof  profLabels
-}
-
-// NewBlockEngine prepares a k-lane block engine. setLane is invoked with a
-// lane index before that lane evaluates any device; it must reconfigure the
-// shared circuit's stimulus for that lane (and may be nil when all lanes
-// share one stimulus). Lane 0's engine performs the symbolic analysis; the
-// others alias its sparsity structure. Options.Probes is not supported on
-// the block path (probes are a scalar-run concern) and must be empty.
-func NewBlockEngine(c *circuit.Circuit, opts Options, k int, setLane func(lane int)) *BlockEngine {
-	if k <= 0 {
-		panic("transient: NewBlockEngine requires at least one lane")
-	}
-	if len(opts.Probes) != 0 {
-		panic("transient: BlockEngine does not support Probes")
-	}
-	b := &BlockEngine{c: c, opts: opts.withDefaults(), setLane: setLane}
-	b.lanes = make([]*Engine, k)
-	b.lanes[0] = newEngine(c, opts, nil)
-	for i := 1; i < k; i++ {
-		b.lanes[i] = newEngine(c, opts, b.lanes[0])
-	}
-	return b
-}
-
-// Lanes returns the number of lanes.
-func (b *BlockEngine) Lanes() int { return len(b.lanes) }
-
-// Options returns the effective options shared by every lane.
-func (b *BlockEngine) Options() Options { return b.opts }
-
-// BlockResult holds the per-lane outcomes of a block run plus the aggregate
-// work accounting. Lane k failed iff Errs[k] != nil, in which case X[k],
-// Ms[k] and Mh[k] are nil.
+// BlockResult holds the per-lane outcomes of a lane run (Engine.RunLanes)
+// plus the aggregate work accounting. Lane k failed iff Errs[k] != nil, in
+// which case X[k], Ms[k] and Mh[k] are nil.
 type BlockResult struct {
 	// X[k] is lane k's final state x(t_end).
 	X [][]float64
@@ -89,8 +19,8 @@ type BlockResult struct {
 	// set, nil otherwise.
 	Ms, Mh [][]float64
 	// Errs[k] is lane k's Newton failure, nil for lanes that converged. A
-	// failure before the fork (in the shared prefix, where all lanes are
-	// identical) fails every lane.
+	// failure in the shared prefix, where all lanes are identical, fails
+	// every lane.
 	Errs []error
 	// Stats aggregates the work of all lanes. Steps counts executed
 	// lane-steps; BlockSharedSteps counts the lane-steps the prefix saved.
@@ -107,512 +37,148 @@ func (r *BlockResult) Ok() bool {
 	return true
 }
 
-// Run integrates every lane from x0 at grid.Start() to grid.End(). tSplit is
-// the earliest time any lane's stimulus can differ from lane 0's: steps
-// ending strictly before tSplit integrate the reference lane only (pass
-// math.Inf(1) when all lanes are identical, 0 — or any t ≤ grid.Start() — to
-// disable sharing). Lane Newton failures are reported per-lane in
-// BlockResult.Errs; the returned error is non-nil only for invalid options,
-// a bad x0, or cancellation.
-func (b *BlockEngine) Run(x0 []float64, grid Grid, tSplit float64) (*BlockResult, error) {
-	return b.RunCtx(context.Background(), nil, x0, grid, tSplit)
-}
-
-// RunCtx is Run with cancellation and observability: the block runs inside a
-// "transient" span of run with block counters and the per-lane iteration
-// histograms merged in, and a canceled ctx stops the lockstep loop between
-// steps.
-func (b *BlockEngine) RunCtx(ctx context.Context, run *obs.Run, x0 []float64, grid Grid, tSplit float64) (*BlockResult, error) {
-	if err := b.opts.Validate(); err != nil {
+// RunLanes integrates k transients of the engine's circuit that differ only
+// in their stimulus — the block kernel of DESIGN §13. setLane(j) installs
+// lane j's stimulus on the shared circuit before that lane is integrated.
+// tSplit is the earliest time any lane's stimulus can differ: the steps
+// ending strictly before it are integrated once, then each lane's tail runs
+// through the scalar step from a copy of the integrator state at the fork.
+// Pass math.Inf(1) when all lanes are identical, and 0 (or any t ≤
+// grid.Start()) to share nothing, in which case every lane starts from x0.
+//
+// A lane whose Newton iteration fails records its error in
+// BlockResult.Errs and the remaining lanes continue (peel-off); a failure in
+// the shared prefix fails every lane. The returned error is non-nil only for
+// invalid options or arguments, a bad x0, or cancellation, which is checked
+// between steps as in RunCtx. Options.Probes is a scalar-run concern and
+// must be empty. The run is observed like RunCtx, with the block counters
+// and the block size added to its span.
+func (e *Engine) RunLanes(ctx context.Context, run *obs.Run, x0 []float64, grid Grid, tSplit float64, k int, setLane func(lane int)) (*BlockResult, error) {
+	if k <= 0 {
+		return nil, fmt.Errorf("transient: RunLanes needs at least one lane, got %d", k)
+	}
+	if len(e.opts.Probes) != 0 {
+		return nil, errors.New("transient: RunLanes does not record Probes")
+	}
+	sp, err := e.begin(run)
+	if err != nil {
 		return nil, err
 	}
-	b.timed = b.opts.Timing || run.Enabled()
-	hist := run.Enabled()
-	for _, e := range b.lanes {
-		e.timed = b.timed
-		e.hist = hist
-		if hist {
-			e.newtonHist.Reset()
-			e.chordHist.Reset()
-		}
+	res, err := e.runLanes(ctx, x0, grid, tSplit, k, setLane)
+	var st *Stats
+	if res != nil {
+		st = &res.Stats
 	}
-	b.prof.active = run.ProfileLabelsEnabled()
-	if b.prof.active {
-		b.prof.init()
-		for _, e := range b.lanes {
-			e.prof = b.prof
-		}
-		pprof.SetGoroutineLabels(b.prof.transient)
-		defer pprof.SetGoroutineLabels(context.Background())
-	}
-	var luF0, luR0 int
-	for _, e := range b.lanes {
-		luF0 += e.lu.Factorizations
-		luR0 += e.lu.Refactorizations
-	}
-	sp := run.StartSpan(obs.SpanTransient)
-	res, err := b.run(ctx, x0, grid, tSplit)
-	if run.Enabled() {
-		sp.Count(obs.CtrBlockRuns, 1)
-		sp.Observe(obs.HistBlockSize, len(b.lanes))
-		// Fresh symbolic factorizations and pattern-reusing refactorizations
-		// are split across two counters, matching the scalar RunCtx (the
-		// aggregate Stats.Factorizations remains their sum).
-		var luF1, luR1 int
-		for _, e := range b.lanes {
-			luF1 += e.lu.Factorizations
-			luR1 += e.lu.Refactorizations
-		}
-		sp.Count(obs.CtrLUFactor, int64(luF1-luF0))
-		sp.Count(obs.CtrLURefactor, int64(luR1-luR0))
-		if res != nil {
-			st := res.Stats
-			sp.Count(obs.CtrSteps, int64(st.Steps))
-			sp.Count(obs.CtrNewtonIters, int64(st.NewtonIters))
-			sp.Count(obs.CtrSensSolves, int64(st.SensSolves))
-			sp.Count(obs.CtrSensFactReused, int64(st.SensFactorizationsReused))
-			sp.Count(obs.CtrChordIters, int64(st.ChordIters))
-			sp.Count(obs.CtrJacobianReuses, int64(st.JacobianReuses))
-			sp.Count(obs.CtrDeviceBypasses, int64(st.DeviceBypasses))
-			sp.Count(obs.CtrBlockPeelOffs, int64(st.BlockPeelOffs))
-			sp.Count(obs.CtrBlockSharedSteps, int64(st.BlockSharedSteps))
-			sp.Count(obs.CtrBlockDonorReplays, int64(st.BlockDonorReplays))
-		}
-		for _, e := range b.lanes {
-			sp.Merge(obs.HistNewtonIters, &e.newtonHist)
-			sp.Merge(obs.HistChordIters, &e.chordHist)
-		}
-	}
-	sp.End()
+	e.end(sp, st, k)
 	return res, err
 }
 
-func (b *BlockEngine) run(ctx context.Context, x0 []float64, grid Grid, tSplit float64) (*BlockResult, error) {
-	n := b.c.N()
-	if len(x0) != n {
+func (e *Engine) runLanes(ctx context.Context, x0 []float64, grid Grid, tSplit float64, k int, setLane func(lane int)) (*BlockResult, error) {
+	if n := e.c.N(); len(x0) != n {
 		return nil, fmt.Errorf("transient: x0 length %d, want %d", len(x0), n)
 	}
-	K := len(b.lanes)
 	pts := grid.Points()
 	res := &BlockResult{
-		X:    make([][]float64, K),
-		Errs: make([]error, K),
+		X:    make([][]float64, k),
+		Errs: make([]error, k),
 	}
-	if b.opts.Skews {
-		res.Ms = make([][]float64, K)
-		res.Mh = make([][]float64, K)
+	if e.opts.Skews {
+		res.Ms = make([][]float64, k)
+		res.Mh = make([][]float64, k)
 	}
+	e.stats = Stats{}
 	wall0 := time.Now()
-	luF0 := make([]int, K)
-	byp0 := make([]int, K)
-	for j, e := range b.lanes {
-		e.stats = Stats{}
-		luF0[j] = e.lu.Factorizations + e.lu.Refactorizations
-		byp0[j] = e.ev.Bypasses
+	byp0 := e.ev.Bypasses
+	prefix, peeled := 0, 0 // shared steps integrated, lanes failed
+
+	// The lanes are bit-identical on every step ending strictly before
+	// tSplit, so one integration of that prefix stands in for all of them.
+	// The strict comparison protects the step that lands exactly on the
+	// divergence time.
+	fork := 0
+	for fork+1 < len(pts) && pts[fork+1] < tSplit {
+		fork++
 	}
-
-	// refIdx is the reference lane: it integrates the shared prefix alone,
-	// steps first after the fork, and donates its factorization and stamp
-	// tapes to the followers. It starts as lane 0 and is re-elected if lane 0
-	// peels off.
-	refIdx := 0
-	dead := make([]bool, K)
-	alive := K
-	forked := false
-	sharedSteps := 0
-	stepsRun := 0
-
-	b.lane(0)
-	b.lanes[0].initAt(x0, pts[0])
-
-	// fork brings the followers to the reference lane's state. After a shared
-	// prefix the lanes were bit-identical up to here, so copying the
-	// integrator state (and the sensitivities, exactly zero until the stimulus
-	// support begins) is exact. With no prefix at all the lanes may already
-	// differ at t0, so each initializes independently from x0 instead.
-	fork := func(k int) {
-		ref := b.lanes[0]
-		for j := 1; j < K; j++ {
-			e := b.lanes[j]
-			if k == 1 {
-				b.lane(j)
-				e.initAt(x0, pts[0])
-				continue
+	if fork > 0 {
+		setLane(0)
+		e.initAt(x0, pts[0])
+		for s := 1; s <= fork; s++ {
+			if err := canceled(ctx, pts, s); err != nil {
+				return nil, err
 			}
-			copy(e.x, ref.x)
-			copy(e.qPrev, ref.qPrev)
-			if e.opts.Skews {
-				copy(e.cPrev.Val, ref.cPrev.Val)
-			}
-			if e.opts.Method == TRAP {
-				copy(e.qdotPrev, ref.qdotPrev)
-			}
-			copy(e.ms, ref.ms)
-			copy(e.mh, ref.mh)
-			if e.opts.Skews && e.opts.Method == TRAP {
-				copy(e.msdotPrev, ref.msdotPrev)
-				copy(e.mhdot, ref.mhdot)
-			}
-			e.chordReady = false
-			e.drift = 0
-		}
-		forked = true
-	}
-
-	done := ctx.Done()
-	for k := 1; k < len(pts); k++ {
-		if done != nil {
-			select {
-			case <-done:
-				return nil, fmt.Errorf("%w at t=%.6g s (step %d of %d): %w",
-					ErrCanceled, pts[k], k, len(pts)-1, context.Cause(ctx))
-			default:
-			}
-		}
-		t0, t1 := pts[k-1], pts[k]
-		if !forked && t1 < tSplit {
-			// Shared prefix: the lanes are still bit-identical, so one lane's
-			// step stands in for all of them. The caller guarantees the
-			// stimulus cannot differ before tSplit; the strict comparison
-			// protects the step that lands exactly on the divergence time.
-			b.lane(refIdx)
-			if err := b.lanes[refIdx].step(t0, t1); err != nil {
-				werr := fmt.Errorf("%w at t=%.6g s (step %d, shared prefix)", err, t1, k)
-				for j := range dead {
-					dead[j] = true
+			if err := e.step(pts[s-1], pts[s]); err != nil {
+				werr := fmt.Errorf("%w at t=%.6g s (step %d, shared prefix)", err, pts[s], s)
+				for j := range res.Errs {
 					res.Errs[j] = werr
 				}
-				alive = 0
+				peeled = k
 				break
 			}
-			stepsRun++
-			sharedSteps += K - 1
-			continue
+			prefix++
 		}
-		if !forked {
-			fork(k)
-		}
-		// Lockstep: the reference lane steps first (scalar path — it owns the
-		// shared factorization), then each follower steps with the reference
-		// as donor.
-		for _, j := range laneOrder(refIdx, K) {
-			if dead[j] {
-				continue
-			}
-			e := b.lanes[j]
-			b.lane(j)
-			var err error
-			if j == refIdx {
-				err = e.step(t0, t1)
-			} else {
-				err = b.stepFollower(e, b.lanes[refIdx], t0, t1)
-			}
-			stepsRun++
-			if err != nil {
-				// Peel-off: this lane is done, the block continues.
-				dead[j] = true
-				res.Errs[j] = fmt.Errorf("%w at t=%.6g s (step %d, lane %d)", err, t1, k, j)
-				alive--
-			}
-		}
-		if alive == 0 {
-			break
-		}
-		if dead[refIdx] {
-			for j := range dead {
-				if !dead[j] {
-					refIdx = j
-					break
-				}
-			}
-		}
+		e.saveFork()
 	}
-	if !forked && alive > 0 {
-		fork(len(pts)) // degenerate: the whole grid was shared
+	steps := prefix
+
+	for j := 0; j < k && peeled < k; j++ {
+		setLane(j)
+		if fork > 0 {
+			e.restoreFork()
+		} else {
+			e.initAt(x0, pts[0])
+		}
+		for s := fork + 1; s < len(pts); s++ {
+			if err := canceled(ctx, pts, s); err != nil {
+				return nil, err
+			}
+			steps++
+			if err := e.step(pts[s-1], pts[s]); err != nil {
+				res.Errs[j] = fmt.Errorf("%w at t=%.6g s (step %d, lane %d)", err, pts[s], s, j)
+				peeled++
+				break
+			}
+		}
+		if res.Errs[j] == nil {
+			x, ms, mh := e.final()
+			res.X[j] = x
+			if e.opts.Skews {
+				res.Ms[j], res.Mh[j] = ms, mh
+			}
+		}
 	}
 
-	var st Stats
-	for j, e := range b.lanes {
-		if !dead[j] {
-			res.X[j] = append([]float64(nil), e.x...)
-			if b.opts.Skews {
-				res.Ms[j] = append([]float64(nil), e.ms...)
-				res.Mh[j] = append([]float64(nil), e.mh...)
-			}
-		}
-		st.Add(e.stats)
-		st.Factorizations += e.lu.Factorizations + e.lu.Refactorizations - luF0[j]
-		st.DeviceBypasses += e.ev.Bypasses - byp0[j]
+	res.Stats = e.stats
+	res.Stats.Steps = steps
+	res.Stats.Factorizations = e.factorizations()
+	res.Stats.DeviceBypasses = e.ev.Bypasses - byp0
+	res.Stats.BlockSharedSteps = (k - 1) * prefix
+	if peeled < k {
+		res.Stats.BlockPeelOffs = peeled
 	}
-	st.Steps = stepsRun
-	st.BlockSharedSteps = sharedSteps
-	if alive > 0 {
-		st.BlockPeelOffs = K - alive
-	}
-	st.Wall = time.Since(wall0)
-	res.Stats = st
+	res.Stats.Wall = time.Since(wall0)
 	return res, nil
 }
 
-// lane invokes the setLane hook for lane j.
-func (b *BlockEngine) lane(j int) {
-	if b.setLane != nil {
-		b.setLane(j)
+// forkState lists the integrator state a step reads from the previous one;
+// the fork snapshot copies exactly these vectors.
+func (e *Engine) forkState() [8][]float64 {
+	return [8][]float64{e.x, e.qPrev, e.cPrev.Val, e.qdotPrev, e.ms, e.mh, e.msdotPrev, e.mhdot}
+}
+
+// saveFork snapshots the integrator state at the end of the shared prefix.
+func (e *Engine) saveFork() {
+	for i, v := range e.forkState() {
+		e.fork[i] = append(e.fork[i][:0], v...)
 	}
 }
 
-// laneOrder yields lane indices with ref first; the followers keep their
-// natural order.
-func laneOrder(ref, k int) []int {
-	order := make([]int, 0, k)
-	order = append(order, ref)
-	for j := 0; j < k; j++ {
-		if j != ref {
-			order = append(order, j)
-		}
+// restoreFork rewinds the integrator to the fork snapshot. The standing
+// factorization belongs to another lane's tail, so the chord gate is reset
+// as in initAt.
+func (e *Engine) restoreFork() {
+	for i, v := range e.forkState() {
+		copy(v, e.fork[i])
 	}
-	return order
-}
-
-// laneClose reports ‖a−b‖∞ ≤ tol.
-func laneClose(a, b []float64, tol float64) bool {
-	for i := range a {
-		if math.Abs(a[i]-b[i]) > tol {
-			return false
-		}
-	}
-	return true
-}
-
-// stepFollower advances follower lane e from t0 to t1 with ref as the donor
-// lane. It is Engine.step with two extra fast paths layered in front of the
-// scalar ones:
-//
-//   - the first Newton iteration assembles via AtWithDonor, so devices whose
-//     terminal voltages match the reference lane's tape snapshot replay the
-//     reference's stamps instead of re-running model math;
-//   - chord iterations try the reference lane's standing factorization
-//     before the follower's own, under the same α/age/contraction gates.
-//
-// Residuals stay exact, so a converged follower satisfies the identical
-// tolerances as the scalar path; on any non-contracting update the follower
-// falls back to its own chord and then to full Newton, exactly like the
-// scalar engine.
-func (b *BlockEngine) stepFollower(e, ref *Engine, t0, t1 float64) error {
-	n := e.c.N()
-	dt := t1 - t0
-	var alpha float64 // J = alpha·C + G
-	if e.opts.Method == TRAP {
-		alpha = 2 / dt
-	} else {
-		alpha = 1 / dt
-	}
-	numNodes := e.c.NumNodes()
-	chord := e.opts.Chord
-	converged := false
-	iters := 0
-	chordIters := 0
-	prevNorm := math.Inf(1)
-	// sharedOK gates chord solves against the reference lane's standing
-	// factorization; usedShared remembers whether the follower's most recent
-	// linear solve went through it (the sensitivity-reuse decision needs to
-	// know which factorization the drift is measured against).
-	sharedOK := chord && ref != e && ref.chordReady && sameAlpha(alpha, ref.chordAlpha)
-	usedShared := false
-	for iter := 0; iter < e.opts.MaxNewtonIter; iter++ {
-		if e.opts.DeviceBypass {
-			e.ev.HoldBypass(iter > 0)
-		}
-		if iter == 0 && e.opts.DeviceBypass && ref != e {
-			if e.timed {
-				tEval := time.Now()
-				e.stats.BlockDonorReplays += e.ev.AtWithDonor(e.x, t1, ref.ev)
-				e.stats.DeviceEval += time.Since(tEval)
-			} else {
-				e.stats.BlockDonorReplays += e.ev.AtWithDonor(e.x, t1, ref.ev)
-			}
-		} else {
-			e.evalAt(t1)
-		}
-		// Residual — always exact, also under shared-Jacobian chord
-		// iterations, so every lane converges to its own true solution.
-		switch e.opts.Method {
-		case TRAP:
-			for i := 0; i < n; i++ {
-				e.r[i] = alpha*(e.ev.Q[i]-e.qPrev[i]) - e.qdotPrev[i] + e.ev.F[i] + e.ev.Src[i]
-			}
-		default: // BE
-			for i := 0; i < n; i++ {
-				e.r[i] = alpha*(e.ev.Q[i]-e.qPrev[i]) + e.ev.F[i] + e.ev.Src[i]
-			}
-		}
-		full := true
-		if sharedOK && ref.lu.Age < e.opts.ChordMaxAge {
-			b.sharedSolve(e, ref)
-			nrm, finite := updateNorm(e.dx, n)
-			if finite && nrm <= prevNorm {
-				full = false
-				usedShared = true
-				e.stats.ChordIters++
-				chordIters++
-				if nrm > e.opts.ChordContraction*prevNorm {
-					// Stalling against the shared Jacobian: this lane has
-					// drifted too far from the reference; stop offering it.
-					sharedOK = false
-				}
-			} else {
-				sharedOK = false
-			}
-		}
-		if full && chord && e.chordReady && e.lu.Age < e.opts.ChordMaxAge && sameAlpha(alpha, e.chordAlpha) {
-			e.solveOnly()
-			nrm, finite := updateNorm(e.dx, n)
-			if finite && nrm <= prevNorm {
-				full = false
-				usedShared = false
-				e.stats.ChordIters++
-				chordIters++
-				if nrm > e.opts.ChordContraction*prevNorm {
-					e.chordReady = false
-				}
-			}
-		}
-		if full {
-			sparse.Combine(e.j, alpha, e.ev.C, e.mapC, 1, e.ev.G, e.mapG)
-			if err := e.factorSolve(); err != nil {
-				return fmt.Errorf("transient: Jacobian factorization failed: %w", err)
-			}
-			e.chordReady = chord
-			e.chordAlpha = alpha
-			e.drift = 0
-			usedShared = false
-		}
-		e.stats.NewtonIters++
-		iters++
-		conv := true
-		nrm := 0.0
-		for i := 0; i < n; i++ {
-			if !num.IsFinite(e.dx[i]) {
-				return ErrNewtonFailure
-			}
-			e.x[i] -= e.dx[i]
-			ad := math.Abs(e.dx[i])
-			if ad > nrm {
-				nrm = ad
-			}
-			atol := e.opts.VTol
-			if i >= numNodes {
-				atol = e.opts.ITol
-			}
-			if ad > atol+e.opts.RelTol*math.Abs(e.x[i]) {
-				conv = false
-			}
-		}
-		prevNorm = nrm
-		e.drift += nrm
-		if conv {
-			converged = true
-			break
-		}
-	}
-	if !converged {
-		return ErrNewtonFailure
-	}
-	if e.hist {
-		e.newtonHist.Observe(iters, 1)
-		if chordIters > 0 {
-			e.chordHist.Observe(chordIters, 1)
-		}
-	}
-
-	if e.opts.Skews {
-		// Pick the factorization the sensitivity solves back-substitute
-		// against. The reference lane's serves when the follower rode the
-		// shared Jacobian to convergence and its state stayed within the
-		// reuse tolerance of the reference's; the follower's own serves under
-		// the scalar drift gate; otherwise build a fresh converged-state one.
-		lu := &e.lu
-		reuse := false
-		if chord {
-			if usedShared && ref.chordReady && sameAlpha(alpha, ref.chordAlpha) &&
-				ref.drift <= e.opts.SensReuseTol && laneClose(e.x, ref.x, e.opts.SensReuseTol) {
-				lu = &ref.lu
-				reuse = true
-			} else if !usedShared && e.drift <= e.opts.SensReuseTol && sameAlpha(alpha, e.chordAlpha) {
-				reuse = true
-			}
-		}
-		if reuse {
-			e.stats.JacobianReuses++
-		} else {
-			e.evalAt(t1)
-			sparse.Combine(e.j, alpha, e.ev.C, e.mapC, 1, e.ev.G, e.mapG)
-			if err := e.factorize(); err != nil {
-				return fmt.Errorf("transient: converged-state factorization failed: %w", err)
-			}
-			e.chordReady = chord
-			e.chordAlpha = alpha
-			e.drift = 0
-			lu = &e.lu
-		}
-
-		e.zeroZ()
-		e.ev.AddSkewSens(t1, e.zsVec, e.zhVec)
-		var tSens time.Time
-		if e.timed {
-			tSens = time.Now()
-		}
-		switch e.opts.Method {
-		case TRAP:
-			e.sensTrap(alpha, lu)
-		default:
-			e.sensBE(alpha, lu)
-		}
-		if e.timed {
-			e.stats.Sens += time.Since(tSens)
-		}
-		e.stats.SensFactorizationsReused++
-	}
-
-	if e.opts.Method == TRAP {
-		for i := 0; i < n; i++ {
-			e.qdotPrev[i] = alpha*(e.ev.Q[i]-e.qPrev[i]) - e.qdotPrev[i]
-		}
-	}
-	copy(e.qPrev, e.ev.Q)
-	if e.opts.Skews {
-		copy(e.cPrev.Val, e.ev.C.Val)
-	}
-	return nil
-}
-
-// sharedSolve back-substitutes follower e's residual against the reference
-// lane's standing factorization, attributing the wall-clock to e.
-func (b *BlockEngine) sharedSolve(e, ref *Engine) {
-	if b.prof.active {
-		pprof.SetGoroutineLabels(b.prof.lu)
-		defer pprof.SetGoroutineLabels(b.prof.transient)
-	}
-	if !e.timed {
-		ref.lu.Solve(e.r, e.dx)
-		return
-	}
-	t0 := time.Now()
-	ref.lu.Solve(e.r, e.dx)
-	e.stats.LU += time.Since(t0)
-}
-
-// updateNorm returns ‖dx‖∞ and whether every component is finite.
-func updateNorm(dx []float64, n int) (float64, bool) {
-	nrm := 0.0
-	for i := 0; i < n; i++ {
-		v := math.Abs(dx[i])
-		if !num.IsFinite(v) {
-			return nrm, false
-		}
-		if v > nrm {
-			nrm = v
-		}
-	}
-	return nrm, true
+	e.chordReady = false
+	e.drift = 0
 }

@@ -1,6 +1,8 @@
 package transient
 
 import (
+	"context"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -10,7 +12,7 @@ import (
 	"latchchar/internal/solver"
 )
 
-// laneWave is a source whose value the block engine's setLane hook swaps
+// laneWave is a source whose value the lane run's setLane hook swaps
 // per lane: constant 0 until t0, then a linear ramp of duration rise up to
 // the lane's amplitude *v. Before t0 the output is amplitude-independent,
 // so lanes share the exact prefix up to t0.
@@ -35,27 +37,7 @@ func (w laneWave) V(t float64) float64 {
 func buildLaneRC(t *testing.T, t0, rise float64) (*circuit.Circuit, circuit.UnknownID, *float64) {
 	t.Helper()
 	amp := new(float64)
-	ckt := circuit.New()
-	in := ckt.Node("in")
-	out := ckt.Node("out")
-	vs, err := device.NewVSource("vin", in, circuit.Ground, laneWave{v: amp, t0: t0, rise: rise}, device.RoleSupply)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ckt.AddDevice(vs)
-	res, err := device.NewResistor("r1", in, out, 1e3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ckt.AddDevice(res)
-	cap, err := device.NewCapacitor("c1", out, circuit.Ground, 1e-12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ckt.AddDevice(cap)
-	if err := ckt.Finalize(); err != nil {
-		t.Fatal(err)
-	}
+	ckt, out := buildRC(t, laneWave{v: amp, t0: t0, rise: rise}, device.RoleSupply, 1e3, 1e-12)
 	return ckt, out, amp
 }
 
@@ -93,8 +75,8 @@ func TestBlockSharedPrefixMatchesScalar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewBlockEngine(ckt, opts, len(amps), func(lane int) { *amp = amps[lane] })
-	res, err := b.Run(x0, g, t0)
+	res, err := NewEngine(ckt, opts).RunLanes(context.Background(), nil, x0, g, t0, len(amps),
+		func(lane int) { *amp = amps[lane] })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,15 +97,14 @@ func TestBlockSharedPrefixMatchesScalar(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("shared steps %d, chord iters %d, factorizations %d, donor replays %d",
-		res.Stats.BlockSharedSteps, res.Stats.ChordIters,
-		res.Stats.Factorizations, res.Stats.BlockDonorReplays)
+	t.Logf("shared steps %d, chord iters %d, factorizations %d",
+		res.Stats.BlockSharedSteps, res.Stats.ChordIters, res.Stats.Factorizations)
 }
 
 // TestBlockPeelOff poisons one lane's stimulus with NaN: that lane must fail
 // with a per-lane error (counted as a peel-off) while the remaining lanes
 // converge to the same states as their scalar references. Poisoning lane 0
-// additionally exercises reference-lane re-election.
+// checks that the lanes after a failed tail still start from the fork.
 func TestBlockPeelOff(t *testing.T) {
 	const (
 		t0   = 1e-9
@@ -143,8 +124,8 @@ func TestBlockPeelOff(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b := NewBlockEngine(ckt, opts, len(amps), func(lane int) { *amp = amps[lane] })
-		res, err := b.Run(x0, g, t0)
+		res, err := NewEngine(ckt, opts).RunLanes(context.Background(), nil, x0, g, t0, len(amps),
+			func(lane int) { *amp = amps[lane] })
 		if err != nil {
 			t.Fatalf("poisoned lane %d must not fail the block: %v", poisoned, err)
 		}
@@ -188,8 +169,8 @@ func TestBlockDegenerateFullyShared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewBlockEngine(ckt, Options{Chord: true}, 3, func(int) { *amp = 1.0 })
-	res, err := b.Run(x0, g, math.Inf(1))
+	res, err := NewEngine(ckt, Options{Chord: true}).RunLanes(context.Background(), nil, x0, g, math.Inf(1), 3,
+		func(int) { *amp = 1.0 })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,10 +184,99 @@ func TestBlockDegenerateFullyShared(t *testing.T) {
 			}
 		}
 	}
-	// Only the reference lane executes, so every executed step saves the two
-	// follower lane-steps.
+	// Only the shared prefix executes, so every executed step saves the two
+	// other lanes' steps.
 	if res.Stats.BlockSharedSteps != 2*res.Stats.Steps {
 		t.Errorf("shared steps %d with %d executed lane-steps; the whole grid should have been shared",
 			res.Stats.BlockSharedSteps, res.Stats.Steps)
+	}
+}
+
+// cancelWave is a laneWave that cancels a context the first time it is
+// evaluated at or after time at.
+type cancelWave struct {
+	laneWave
+	at     float64
+	cancel func()
+}
+
+func (w cancelWave) V(t float64) float64 {
+	if t >= w.at {
+		w.cancel()
+	}
+	return w.laneWave.V(t)
+}
+
+// TestRunLanesCanceled cancels a lane run once inside the shared prefix and
+// once at the start of a lane's tail: both must stop with an error wrapping
+// ErrCanceled and the cancellation cause.
+func TestRunLanesCanceled(t *testing.T) {
+	const (
+		t0   = 2e-9
+		rise = 0.5e-9
+	)
+	cause := errors.New("deadline from caller")
+	g, err := UniformGrid(0, 4e-9, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkCanceled := func(t *testing.T, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrCanceled) || !errors.Is(err, cause) {
+			t.Fatalf("err = %v, want one wrapping ErrCanceled and the cause", err)
+		}
+	}
+
+	t.Run("prefix", func(t *testing.T) {
+		ctx, cancel := context.WithCancelCause(context.Background())
+		defer cancel(nil)
+		amp := 1.0
+		w := cancelWave{laneWave{v: &amp, t0: t0, rise: rise}, t0 / 2, func() { cancel(cause) }}
+		ckt, _ := buildRC(t, w, device.RoleSupply, 1e3, 1e-12)
+		lanes := 0
+		_, err = NewEngine(ckt, Options{}).RunLanes(ctx, nil, make([]float64, ckt.N()), g, t0, 3,
+			func(int) { lanes++ })
+		checkCanceled(t, err)
+		if lanes != 1 {
+			t.Errorf("run left the shared prefix before stopping: setLane called %d times", lanes)
+		}
+	})
+
+	t.Run("tail", func(t *testing.T) {
+		ctx, cancel := context.WithCancelCause(context.Background())
+		defer cancel(nil)
+		ckt, _, amp := buildLaneRC(t, t0, rise)
+		x0, _, err := solver.DCOperatingPoint(ckt, 0, nil, solver.DCOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = NewEngine(ckt, Options{}).RunLanes(ctx, nil, x0, g, t0, 3, func(lane int) {
+			*amp = 1 + float64(lane)
+			if lane == 1 {
+				cancel(cause)
+			}
+		})
+		checkCanceled(t, err)
+	})
+}
+
+// TestRunLanesRejectsBadArguments checks that a lane run without lanes, or
+// with probes requested, fails with an error instead of running.
+func TestRunLanesRejectsBadArguments(t *testing.T) {
+	ckt, out, _ := buildLaneRC(t, 1e-9, 0.5e-9)
+	g, err := UniformGrid(0, 3e-9, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x0 := make([]float64, ckt.N())
+	noLane := func(int) {}
+	for _, k := range []int{0, -1} {
+		if _, err := NewEngine(ckt, Options{}).RunLanes(context.Background(), nil, x0, g, 1e-9, k, noLane); err == nil {
+			t.Errorf("k=%d: lane run accepted", k)
+		}
+	}
+	probed := NewEngine(ckt, Options{Probes: []circuit.UnknownID{out}})
+	if _, err := probed.RunLanes(context.Background(), nil, x0, g, 1e-9, 2, noLane); err == nil {
+		t.Error("lane run accepted Options.Probes")
 	}
 }

@@ -172,14 +172,14 @@ type Stats struct {
 	// by the latency bypass (Options.DeviceBypass).
 	DeviceBypasses int
 
-	// Block-transient accounting (BlockEngine; zero for scalar runs).
+	// Block-transient accounting (Engine.RunLanes; zero for scalar runs).
 	// BlockSharedSteps counts lane-steps served by the shared exact prefix —
-	// steps the follower lanes never had to integrate because every lane's
+	// steps lanes 1..k−1 never had to integrate because every lane's
 	// stimulus is bit-identical before the skews diverge. BlockPeelOffs
 	// counts lanes that dropped out of a block on a Newton failure (they are
-	// retried on the scalar path by the caller). BlockDonorReplays counts
-	// device evaluations served by replaying the reference lane's stamp tape
-	// into a follower (circuit.Eval.AtWithDonor).
+	// retried on the scalar path by the caller). BlockDonorReplays is always
+	// zero: lanes no longer replay each other's device stamps. The field is
+	// kept for readers outside this module.
 	BlockSharedSteps  int
 	BlockPeelOffs     int
 	BlockDonorReplays int
@@ -260,12 +260,15 @@ type Engine struct {
 	chordAlpha float64
 	drift      float64
 
+	fork [8][]float64 // integrator state at a lane run's fork (saveFork)
+
 	// Per-run observability state (set by RunObs, cleared by default Run).
 	timed      bool     // collect fine-grained wall-clock attribution
 	hist       bool     // accumulate the per-step Newton histogram
 	newtonHist obs.Hist // local accumulator, merged once per run
 	chordHist  obs.Hist // chord iterations per step (steps that used any)
 	prof       profLabels
+	luF0, luR0 int // LU counters when the run began (set by begin)
 }
 
 // profLabels holds the prebuilt pprof label contexts; switching goroutine
@@ -285,14 +288,6 @@ func (p *profLabels) init() {
 
 // NewEngine prepares an engine for the circuit with the given options.
 func NewEngine(c *circuit.Circuit, opts Options) *Engine {
-	return newEngine(c, opts, nil)
-}
-
-// newEngine builds an engine. With a non-nil proto — an engine of the same
-// circuit — the union-pattern symbolic analysis is shared instead of being
-// recomputed: the Jacobian aliases proto's RowPtr/Col structure with fresh
-// values. Block lanes use this so one symbolic analysis serves the block.
-func newEngine(c *circuit.Circuit, opts Options, proto *Engine) *Engine {
 	o := opts.withDefaults()
 	ev := c.NewEval()
 	n := c.N()
@@ -304,16 +299,10 @@ func newEngine(c *circuit.Circuit, opts Options, proto *Engine) *Engine {
 		r:     make([]float64, n),
 		dx:    make([]float64, n),
 		qPrev: make([]float64, n),
-		cPrev: nil,
 		ms:    make([]float64, n),
 		mh:    make([]float64, n),
 	}
-	if proto != nil {
-		e.j = proto.j.PatternClone()
-		e.mapC, e.mapG = proto.mapC, proto.mapG
-	} else {
-		e.j, e.mapC, e.mapG = sparse.UnionPattern(ev.C, ev.G)
-	}
+	e.j, e.mapC, e.mapG = sparse.UnionPattern(ev.C, ev.G)
 	e.cPrev = ev.C.Clone()
 	if o.DeviceBypass {
 		ev.EnableBypass(o.BypassVTol)
@@ -355,6 +344,22 @@ func (e *Engine) RunObs(run *obs.Run, x0 []float64, grid Grid) (*Result, error) 
 // cancellation granularity for partial *results* is the contour point, see
 // internal/core). A Background context adds one channel-poll per step.
 func (e *Engine) RunCtx(ctx context.Context, run *obs.Run, x0 []float64, grid Grid) (*Result, error) {
+	sp, err := e.begin(run)
+	if err != nil {
+		return nil, err
+	}
+	res, err := e.run(ctx, x0, grid)
+	var st *Stats
+	if res != nil {
+		st = &res.Stats
+	}
+	e.end(sp, st, 0)
+	return res, err
+}
+
+// begin validates the options, prepares the per-run observability state and
+// opens the run's "transient" span. Every begin is paired with one end.
+func (e *Engine) begin(run *obs.Run) (*obs.Run, error) {
 	if err := e.opts.Validate(); err != nil {
 		return nil, err
 	}
@@ -368,16 +373,23 @@ func (e *Engine) RunCtx(ctx context.Context, run *obs.Run, x0 []float64, grid Gr
 	if e.prof.active {
 		e.prof.init()
 		pprof.SetGoroutineLabels(e.prof.transient)
-		defer pprof.SetGoroutineLabels(context.Background())
 	}
-	sp := run.StartSpan(obs.SpanTransient)
-	luF0, luR0 := e.lu.Factorizations, e.lu.Refactorizations
-	res, err := e.run(ctx, x0, grid)
-	if run.Enabled() {
-		sp.Count(obs.CtrLUFactor, int64(e.lu.Factorizations-luF0))
-		sp.Count(obs.CtrLURefactor, int64(e.lu.Refactorizations-luR0))
-		if res != nil {
-			st := res.Stats
+	e.luF0, e.luR0 = e.lu.Factorizations, e.lu.Refactorizations
+	return run.StartSpan(obs.SpanTransient), nil
+}
+
+// end publishes the integrator counters of st (nil for a failed run) and
+// the per-step histograms to sp and closes it. lanes > 0 marks a lane run,
+// which additionally publishes the block counters and its block size.
+func (e *Engine) end(sp *obs.Run, st *Stats, lanes int) {
+	if sp.Enabled() {
+		sp.Count(obs.CtrLUFactor, int64(e.lu.Factorizations-e.luF0))
+		sp.Count(obs.CtrLURefactor, int64(e.lu.Refactorizations-e.luR0))
+		if lanes > 0 {
+			sp.Count(obs.CtrBlockRuns, 1)
+			sp.Observe(obs.HistBlockSize, lanes)
+		}
+		if st != nil {
 			sp.Count(obs.CtrSteps, int64(st.Steps))
 			sp.Count(obs.CtrNewtonIters, int64(st.NewtonIters))
 			sp.Count(obs.CtrSensSolves, int64(st.SensSolves))
@@ -385,12 +397,18 @@ func (e *Engine) RunCtx(ctx context.Context, run *obs.Run, x0 []float64, grid Gr
 			sp.Count(obs.CtrChordIters, int64(st.ChordIters))
 			sp.Count(obs.CtrJacobianReuses, int64(st.JacobianReuses))
 			sp.Count(obs.CtrDeviceBypasses, int64(st.DeviceBypasses))
+			if lanes > 0 {
+				sp.Count(obs.CtrBlockPeelOffs, int64(st.BlockPeelOffs))
+				sp.Count(obs.CtrBlockSharedSteps, int64(st.BlockSharedSteps))
+			}
 		}
 		sp.Merge(obs.HistNewtonIters, &e.newtonHist)
 		sp.Merge(obs.HistChordIters, &e.chordHist)
 	}
 	sp.End()
-	return res, err
+	if e.prof.active {
+		pprof.SetGoroutineLabels(context.Background())
+	}
 }
 
 func (e *Engine) run(ctx context.Context, x0 []float64, grid Grid) (*Result, error) {
@@ -419,34 +437,56 @@ func (e *Engine) run(ctx context.Context, x0 []float64, grid Grid) (*Result, err
 	wall0 := time.Now()
 	e.initAt(x0, pts[0])
 	record(0)
-	luF0, luR0 := e.lu.Factorizations, e.lu.Refactorizations
 	byp0 := e.ev.Bypasses
-	done := ctx.Done()
 	for k := 1; k < len(pts); k++ {
-		if done != nil {
-			select {
-			case <-done:
-				return nil, fmt.Errorf("%w at t=%.6g s (step %d of %d): %w",
-					ErrCanceled, pts[k], k, len(pts)-1, context.Cause(ctx))
-			default:
-			}
+		if err := canceled(ctx, pts, k); err != nil {
+			return nil, err
 		}
 		if err := e.step(pts[k-1], pts[k]); err != nil {
 			return nil, fmt.Errorf("%w at t=%.6g s (step %d)", err, pts[k], k)
 		}
 		record(k)
 	}
-	res.X = append([]float64(nil), e.x...)
-	if e.opts.Skews {
-		res.Ms = append([]float64(nil), e.ms...)
-		res.Mh = append([]float64(nil), e.mh...)
-	}
+	res.X, res.Ms, res.Mh = e.final()
 	res.Stats = e.stats
 	res.Stats.Steps = len(pts) - 1
-	res.Stats.Factorizations = (e.lu.Factorizations - luF0) + (e.lu.Refactorizations - luR0)
+	res.Stats.Factorizations = e.factorizations()
 	res.Stats.DeviceBypasses = e.ev.Bypasses - byp0
 	res.Stats.Wall = time.Since(wall0)
 	return res, nil
+}
+
+// factorizations counts the full and pattern-reusing factorizations since
+// begin.
+func (e *Engine) factorizations() int {
+	return e.lu.Factorizations - e.luF0 + e.lu.Refactorizations - e.luR0
+}
+
+// canceled returns the error for a run whose ctx is done before step k of
+// the grid pts, nil otherwise. A Background context costs one nil check.
+func canceled(ctx context.Context, pts []float64, k int) error {
+	done := ctx.Done()
+	if done == nil {
+		return nil
+	}
+	select {
+	case <-done:
+		return fmt.Errorf("%w at t=%.6g s (step %d of %d): %w",
+			ErrCanceled, pts[k], k, len(pts)-1, context.Cause(ctx))
+	default:
+		return nil
+	}
+}
+
+// final returns copies of the final state and, with Skews, of the final
+// sensitivities.
+func (e *Engine) final() (x, ms, mh []float64) {
+	x = append([]float64(nil), e.x...)
+	if e.opts.Skews {
+		ms = append([]float64(nil), e.ms...)
+		mh = append([]float64(nil), e.mh...)
+	}
+	return x, ms, mh
 }
 
 // initAt seeds the integrator state at t0: the initial assembly fills qPrev,
@@ -455,7 +495,7 @@ func (e *Engine) run(ctx context.Context, x0 []float64, grid Grid) (*Result, err
 // (paper step 1c), with the TRAP derivative memory at −∂src/∂τ(t0), which
 // vanishes while the data line is quiescent. The standing factorization (if
 // any) predates this state, so the chord gate is reset: the first iteration
-// factorizes fresh. Both the scalar run and the block lanes initialize
+// factorizes fresh. Both the scalar run and the lane run initialize
 // through here.
 func (e *Engine) initAt(x0 []float64, t0 float64) {
 	n := e.c.N()
@@ -705,9 +745,9 @@ func (e *Engine) step(t0, t1 float64) error {
 		}
 		switch e.opts.Method {
 		case TRAP:
-			e.sensTrap(alpha, &e.lu)
+			e.sensTrap(alpha)
 		default:
-			e.sensBE(alpha, &e.lu)
+			e.sensBE(alpha)
 		}
 		if e.timed {
 			e.stats.Sens += time.Since(t0)
@@ -735,40 +775,39 @@ func (e *Engine) step(t0, t1 float64) error {
 
 // sensBE advances the BE-discretized sensitivities (paper eq. (11)/(13)):
 // (C/Δt + G)·m = (C_prev/Δt)·m_prev − ∂src/∂τ. The solves back-substitute
-// against lu — the engine's own converged-state factorization on the scalar
-// path, possibly a shared block factorization on the block path.
-func (e *Engine) sensBE(alpha float64, lu *sparse.Reusable) {
+// against the engine's converged-state factorization.
+func (e *Engine) sensBE(alpha float64) {
 	n := e.c.N()
 	for i := 0; i < n; i++ {
 		e.rhsS[i] = -e.zsVec[i]
 	}
 	e.cPrev.MulVecAdd(alpha, e.ms, e.rhsS)
-	lu.Solve(e.rhsS, e.ms)
+	e.lu.Solve(e.rhsS, e.ms)
 
 	for i := 0; i < n; i++ {
 		e.rhsS[i] = -e.zhVec[i]
 	}
 	e.cPrev.MulVecAdd(alpha, e.mh, e.rhsS)
-	lu.Solve(e.rhsS, e.mh)
+	e.lu.Solve(e.rhsS, e.mh)
 	e.stats.SensSolves += 2
 }
 
 // sensTrap advances the TRAP-discretized sensitivities:
 // (2C/Δt + G)·m = (2C_prev/Δt)·m_prev + mdot_prev − ∂src/∂τ, with the
 // derivative memory mdot = d(q̇)/dτ propagated like q̇ itself.
-func (e *Engine) sensTrap(alpha float64, lu *sparse.Reusable) {
-	e.sensTrapOne(alpha, lu, e.ms, e.msdotPrev, e.zsVec)
-	e.sensTrapOne(alpha, lu, e.mh, e.mhdot, e.zhVec)
+func (e *Engine) sensTrap(alpha float64) {
+	e.sensTrapOne(alpha, e.ms, e.msdotPrev, e.zsVec)
+	e.sensTrapOne(alpha, e.mh, e.mhdot, e.zhVec)
 	e.stats.SensSolves += 2
 }
 
-func (e *Engine) sensTrapOne(alpha float64, lu *sparse.Reusable, m, mdot, z []float64) {
+func (e *Engine) sensTrapOne(alpha float64, m, mdot, z []float64) {
 	n := e.c.N()
 	e.cPrev.MulVec(m, e.scrA) // C_prev·m_prev
 	for i := 0; i < n; i++ {
 		e.rhsS[i] = alpha*e.scrA[i] + mdot[i] - z[i]
 	}
-	lu.Solve(e.rhsS, m)
+	e.lu.Solve(e.rhsS, m)
 	e.ev.C.MulVec(m, e.scrB) // C_new·m_new
 	for i := 0; i < n; i++ {
 		mdot[i] = alpha*(e.scrB[i]-e.scrA[i]) - mdot[i]

@@ -2,8 +2,8 @@ package vet
 
 import "strconv"
 
-// The three topology analyzers ported from circuit.Lint. They share the
-// Topology computation cached on the Target.
+// The three topology analyzers. They share the circuit.Topology computation
+// cached on the Target.
 
 // analyzerFloatingNode flags nodes no conductive device terminal touches at
 // all: only capacitors (or nothing) connect to them, so their DC level is

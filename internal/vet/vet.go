@@ -224,8 +224,7 @@ func (r *Registry) Analyzers() []*Analyzer { return r.analyzers }
 func (r *Registry) Lookup(name string) *Analyzer { return r.byName[name] }
 
 // DefaultRegistry returns a registry with every built-in analyzer: the three
-// topology checks ported from circuit.Lint plus the stimulus-, value- and
-// configuration-level checks.
+// topology checks plus the stimulus-, value- and configuration-level checks.
 func DefaultRegistry() *Registry {
 	r := NewRegistry()
 	r.Register(analyzerFloatingNode)

@@ -157,8 +157,8 @@ type Options struct {
 	Resample int
 	// Block is the predictor lookahead width: a value > 1 makes the tracer
 	// predict a bundle of Block points along the tangent each cycle and
-	// correct them as one lockstep block-transient (shared Jacobians, batched
-	// device evaluation, per-point peel-off). 0 or 1 keeps the scalar
+	// correct them as one block-transient (a shared stimulus prefix, then one
+	// tail per point, with per-point peel-off). 0 or 1 keeps the scalar
 	// predictor-corrector.
 	Block int
 	// Obs attaches observability: spans, counters, histograms and live
@@ -336,8 +336,8 @@ func characterizeCtx(ctx context.Context, ev *Evaluator, opts Options, warm *Con
 	if opts.Resample >= 2 {
 		resampleOpts := opts.MPNR
 		resampleOpts.Obs = sp
-		// Block > 1 batches the per-point polish through the lockstep
-		// block-transient kernel, just like the trace loop's bundles.
+		// Block > 1 batches the per-point polish through the block-transient
+		// kernel, just like the trace loop's bundles.
 		rs, rerr := core.ResampleContourBlockCtx(ctx, ev, ct, opts.Resample, opts.Block, resampleOpts)
 		if rerr != nil {
 			if errors.Is(rerr, ErrCanceled) {
@@ -364,10 +364,9 @@ type SurfaceOptions struct {
 	// which is independent of Parallelism.
 	Parallelism int
 	// Block is the block-transient lane count: a value > 1 evaluates each
-	// grid row in chunks of Block lockstep lanes sharing Jacobian
-	// factorizations and device evaluations (the per-row cost accounting is
-	// unchanged — still one transient per grid point). 0 or 1 keeps scalar
-	// per-point evaluation.
+	// grid row in chunks of Block lanes sharing their stimulus prefix (the
+	// per-row cost accounting is unchanged — still one transient per grid
+	// point). 0 or 1 keeps scalar per-point evaluation.
 	Block int
 	// Eval tunes the per-worker evaluators.
 	Eval EvalConfig
@@ -451,8 +450,7 @@ func (e *Engine) BruteForce(ctx context.Context, cell *Cell, opts SurfaceOptions
 	var sf *Surface
 	if opts.Block > 1 {
 		// Row-at-a-time sweep: each row is evaluated in chunks of Block
-		// lockstep block-transient lanes sharing the stimulus prefix and
-		// Jacobian factorizations.
+		// block-transient lanes sharing the stimulus prefix.
 		lanes := opts.Block
 		factory := func() (surface.BlockEvalFunc, error) {
 			ev, err := newEval()

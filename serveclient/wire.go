@@ -74,7 +74,7 @@ type OptionsRequest struct {
 	// FastPath enables the chord/bypass Newton fast path (DESIGN §10).
 	FastPath bool `json:"fast_path,omitempty"`
 	// Block is the tracer's predictor lookahead width: a value > 1 corrects
-	// a bundle of Block predicted points as one lockstep block-transient
+	// a bundle of Block predicted points as one block-transient
 	// (DESIGN §13). 0 or 1 keeps the scalar predictor.
 	Block int `json:"block,omitempty"`
 
@@ -214,17 +214,16 @@ type CalibrationJSON struct {
 
 // StatsJSON renders the integrator-level work aggregate.
 type StatsJSON struct {
-	Steps             int     `json:"steps"`
-	NewtonIters       int     `json:"newton_iters"`
-	Factorizations    int     `json:"factorizations"`
-	SensSolves        int     `json:"sens_solves"`
-	ChordIters        int     `json:"chord_iters,omitempty"`
-	JacobianReuses    int     `json:"jacobian_reuses,omitempty"`
-	DeviceBypasses    int     `json:"device_bypasses,omitempty"`
-	BlockSharedSteps  int     `json:"block_shared_steps,omitempty"`
-	BlockPeelOffs     int     `json:"block_peel_offs,omitempty"`
-	BlockDonorReplays int     `json:"block_donor_replays,omitempty"`
-	WallMS            float64 `json:"wall_ms"`
+	Steps            int     `json:"steps"`
+	NewtonIters      int     `json:"newton_iters"`
+	Factorizations   int     `json:"factorizations"`
+	SensSolves       int     `json:"sens_solves"`
+	ChordIters       int     `json:"chord_iters,omitempty"`
+	JacobianReuses   int     `json:"jacobian_reuses,omitempty"`
+	DeviceBypasses   int     `json:"device_bypasses,omitempty"`
+	BlockSharedSteps int     `json:"block_shared_steps,omitempty"`
+	BlockPeelOffs    int     `json:"block_peel_offs,omitempty"`
+	WallMS           float64 `json:"wall_ms"`
 }
 
 // BatchItemJSON is one batch job's outcome.

@@ -417,7 +417,7 @@ const probeHTol = 1e-4
 // arms of the curve the displacement is nearly uniform, so the chained
 // seeds land within a picosecond or two of the sample's curve and converge
 // in one or two gradient transients each. block > 1 batches the remaining
-// probes through the lockstep block-transient kernel in chunks of that many
+// probes through the block-transient kernel in chunks of that many
 // lanes. Any failed probe fails the whole contour (the caller falls back to
 // a cold characterization).
 func probeContour(ctx context.Context, ev *Evaluator, nom *Contour, block int, opts MPNROptions) (*Contour, error) {
