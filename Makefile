@@ -106,23 +106,23 @@ benchserve:
 	./scripts/benchserve.sh
 
 # bench runs the core benchmark set — root characterization contours,
-# the transient inner loop and the sparse LU kernels — and converts the
+# the transient inner loop and the dense LU kernel — and converts the
 # combined benchfmt stream into $(BENCHOUT) (benchjson JSON: ns/op plus the
 # custom sims / sims/point / factorizations metrics). Benchmark names carry
-# mode= (exact / fast / blockK) and p= (concurrency) components so the
-# comparison only diffs like-for-like; the mode=fast vs mode=block8
-# sub-benchmarks of BenchmarkEulerNewton*, BenchmarkSurfaceTSPC and
-# BenchmarkMonteCarloTSPC carry the chord/bypass and block-transient
-# regression numbers. Use BENCHTIME=2s for stable wall-clock comparisons.
+# mode= (exact / blockK) and p= (concurrency) components so the comparison
+# only diffs like-for-like; the mode=exact vs mode=block8 sub-benchmarks of
+# BenchmarkEulerNewton*, BenchmarkSurfaceTSPC and BenchmarkMonteCarloTSPC
+# carry the block-transient regression numbers. Use BENCHTIME=2s for stable
+# wall-clock comparisons.
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime $(BENCHTIME) \
-		. ./internal/transient ./internal/sparse | tee bench.out.txt
+		. ./internal/transient ./internal/linalg | tee bench.out.txt
 	$(GO) run ./cmd/benchjson -o $(BENCHOUT) bench.out.txt
 	@rm -f bench.out.txt
 
 # benchsmoke is the CI gate: a 1x pass over the same set, requiring the
-# harness to run end to end and the fast-path sub-benchmarks to be present in
-# the JSON, then diffed against the committed BENCH_core.json baseline.
+# harness to run end to end and the exact and block-transient
+# sub-benchmarks to be present in the JSON, then diffed against the committed BENCH_core.json baseline.
 # The diff gates at a wide 50% tolerance — a single-iteration smoke run is
 # noisy, but a 2x wall-clock blowup on a macro benchmark is a real
 # regression, not noise. Two escape hatches keep the gate honest: -min-ns
@@ -133,8 +133,8 @@ bench:
 SMOKE_BENCHOUT ?= /tmp/bench-smoke.json
 benchsmoke:
 	$(MAKE) bench BENCHTIME=1x BENCHOUT=$(SMOKE_BENCHOUT)
-	@grep -q 'BenchmarkEulerNewtonTSPC/mode=fast' $(SMOKE_BENCHOUT) || \
-		{ echo "benchsmoke: fast-path benchmark missing from $(SMOKE_BENCHOUT)"; exit 1; }
+	@grep -q 'BenchmarkEulerNewtonTSPC/mode=exact' $(SMOKE_BENCHOUT) || \
+		{ echo "benchsmoke: exact-path benchmark missing from $(SMOKE_BENCHOUT)"; exit 1; }
 	@grep -q 'mode=block8' $(SMOKE_BENCHOUT) || \
 		{ echo "benchsmoke: block-transient benchmark missing from $(SMOKE_BENCHOUT)"; exit 1; }
 	$(GO) run ./cmd/benchjson -compare -warn-match 'MonteCarlo' -min-ns 5e7 \
@@ -144,7 +144,7 @@ benchsmoke:
 # the CLI — quasi-MC sampling, nominal-contour warm starts, sigma-band CSV —
 # with event tracing on, and validates the trace stream with tracecheck.
 mcsmoke:
-	$(GO) run ./cmd/latchchar -cell tspc -points 8 -fast -mc 3 \
+	$(GO) run ./cmd/latchchar -cell tspc -points 8 -mc 3 \
 		-sampler lhs -seed 5 -probes 4 \
 		-trace /tmp/latchchar-mc-trace.jsonl -o /dev/null
 	$(GO) run ./cmd/tracecheck /tmp/latchchar-mc-trace.jsonl

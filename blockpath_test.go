@@ -10,14 +10,11 @@ import (
 
 // TestBlockEvalMatchesScalarOnDecks is the block-transient exactness table:
 // for every example netlist deck, EvalBlock at block sizes 1, 2, 4 and 8
-// must reproduce the scalar fast path's state-transition values within the
-// same 3 µV gate the fast path itself is held to against the exact
-// evaluator. The probe points are the deck's own characterized contour —
-// the operating region the trace loop actually feeds the kernel (far off
-// the contour the output saturates and the fast path's bypass staleness
-// alone exceeds the gate, on the scalar path just as much as on the block
-// path). One evaluator serves both paths, so calibration and grid are
-// identical and the comparison isolates the block kernel.
+// must reproduce the scalar path's state-transition values within a 3 µV
+// gate. The probe points are the deck's own characterized contour — the
+// operating region the trace loop actually feeds the kernel. One evaluator
+// serves both paths, so calibration and grid are identical and the
+// comparison isolates the block kernel.
 func TestBlockEvalMatchesScalarOnDecks(t *testing.T) {
 	const gate = 3e-6
 	decks, err := filepath.Glob(filepath.Join("examples", "netlists", "*.cir"))
@@ -43,7 +40,6 @@ func TestBlockEvalMatchesScalarOnDecks(t *testing.T) {
 			res, err := Characterize(cell, Options{
 				Points:         8,
 				BothDirections: true,
-				Eval:           DefaultFastPath(),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -55,7 +51,7 @@ func TestBlockEvalMatchesScalarOnDecks(t *testing.T) {
 			if len(pts) < 4 {
 				t.Fatalf("deck traced only %d contour points", len(pts))
 			}
-			ev, err := NewEvaluator(cell, DefaultFastPath())
+			ev, err := NewEvaluator(cell, EvalConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -92,7 +88,7 @@ func TestBlockEvalMatchesScalarOnDecks(t *testing.T) {
 						}
 					}
 					if worst > gate {
-						t.Errorf("block size %d deviates %.3g V from the scalar fast path (gate %.3g V)",
+						t.Errorf("block size %d deviates %.3g V from the scalar path (gate %.3g V)",
 							k, worst, gate)
 					}
 					t.Logf("block size %d: worst |Δh| %.3g V over %d points", k, worst, len(pts))
@@ -131,7 +127,7 @@ func TestBlockEvalMatchesScalarOnDecks(t *testing.T) {
 }
 
 // TestBlockTraceAccuracyGate holds the block-corrected trace loop to the
-// same acceptance bar as the scalar fast path: every contour point produced
+// same acceptance bar as the scalar path: every contour point produced
 // with Block-wide lookahead bundles must satisfy the exact state-transition
 // equation within 3 µV.
 func TestBlockTraceAccuracyGate(t *testing.T) {
@@ -147,7 +143,6 @@ func TestBlockTraceAccuracyGate(t *testing.T) {
 		Points:         10,
 		BothDirections: true,
 		Block:          4,
-		Eval:           DefaultFastPath(),
 	})
 	if err != nil {
 		t.Fatal(err)

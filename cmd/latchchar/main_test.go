@@ -100,7 +100,7 @@ func TestRunLibertyFormat(t *testing.T) {
 
 func TestRunMonteCarloSigma(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "sigma.csv")
-	err := run([]string{"-cell", "tspc", "-points", "8", "-fast", "-mc", "3",
+	err := run([]string{"-cell", "tspc", "-points", "8", "-mc", "3",
 		"-sampler", "lhs", "-seed", "5", "-probes", "4", "-o", out})
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +115,7 @@ func TestRunMonteCarloSigma(t *testing.T) {
 	}
 
 	lib := filepath.Join(t.TempDir(), "sigma.lib")
-	err = run([]string{"-cell", "tspc", "-points", "8", "-fast", "-mc", "3",
+	err = run([]string{"-cell", "tspc", "-points", "8", "-mc", "3",
 		"-sampler", "lhs", "-seed", "5", "-probes", "4", "-format", "lib", "-o", lib})
 	if err != nil {
 		t.Fatal(err)

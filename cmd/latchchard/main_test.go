@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"latchchar"
+	"latchchar/internal/core"
 	"latchchar/internal/obs"
 	"latchchar/internal/serve"
 	"latchchar/serveclient"
@@ -172,12 +173,15 @@ func TestServeSmoke(t *testing.T) {
 
 // TestServeSmokeFlightDump boots the daemon with a deliberately tiny job
 // timeout and -dump-dir: the timed-out job must leave a validating
-// flight-recorder dump on disk. CI points LATCHCHARD_SMOKE_DUMPDIR at a
-// workspace path and uploads the dump as a build artifact.
+// flight-recorder dump on disk. The corrector is held until the job's
+// deadline, so the job outlasts the timeout however fast the solver is.
+// CI points LATCHCHARD_SMOKE_DUMPDIR at a workspace path and uploads the
+// dump as a build artifact.
 func TestServeSmokeFlightDump(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a characterization into its timeout")
 	}
+	defer core.HoldCorrectorForTest(func(ctx context.Context) { <-ctx.Done() })()
 	dumpDir := os.Getenv("LATCHCHARD_SMOKE_DUMPDIR")
 	if dumpDir == "" {
 		dumpDir = t.TempDir()

@@ -39,7 +39,6 @@ func run(args []string) error {
 		hMin      = fs.Float64("hmin", 10, "minimum hold skew (ps)")
 		hMax      = fs.Float64("hmax", 800, "maximum hold skew (ps)")
 		workers   = fs.Int("workers", 0, "worker count (0 = GOMAXPROCS)")
-		fast      = fs.Bool("fast", false, "enable the chord/bypass Newton fast path (chord iterations + device-eval latency)")
 		block     = fs.Int("block", 0, "block-transient lane count: evaluate each grid row in N-lane chunks (0 or 1 = scalar; output-level surface only)")
 		delayMode = fs.Bool("delay", false, "generate the clock-to-Q delay surface (the paper's primary formulation) instead of the output-level surface")
 		surfOut   = fs.String("surface", "-", "surface CSV path (- for stdout)")
@@ -66,9 +65,6 @@ func run(args []string) error {
 		return err
 	}
 	evalCfg := latchchar.EvalConfig{}
-	if *fast {
-		evalCfg = latchchar.DefaultFastPath()
-	}
 	if *doVet {
 		// The n² grid makes a broken setup especially expensive: vet the
 		// netlist and the sweep box before dispatching workers.

@@ -157,9 +157,16 @@ func (c *Circuit) NumNodes() int { return len(c.nodeNames) }
 // Finalize.
 func (c *Circuit) N() int { return len(c.nodeNames) + c.numBranches }
 
+// MaxUnknowns is the largest unknown count Finalize accepts. Every solver
+// factors a dense n×n Jacobian (8·n² bytes: 8 MiB at the limit), so the cap
+// keeps an untrusted deck from demanding gigabytes; latch cells have a
+// dozen or so unknowns.
+const MaxUnknowns = 1024
+
 // Finalize runs device Setup, assigns branch unknowns and freezes the
 // sparsity patterns. It must be called exactly once, after which Eval
-// contexts can be created.
+// contexts can be created. Circuits with more than MaxUnknowns unknowns are
+// rejected.
 func (c *Circuit) Finalize() error {
 	if c.finalized {
 		return fmt.Errorf("circuit: already finalized")
@@ -172,6 +179,10 @@ func (c *Circuit) Finalize() error {
 		if err := d.Setup(setup); err != nil {
 			return fmt.Errorf("circuit: setup of %s: %w", d.Name(), err)
 		}
+	}
+	if n := c.N(); n > MaxUnknowns {
+		return fmt.Errorf("circuit: %d unknowns exceed the limit of %d (the solvers factor a dense %d×%d Jacobian)",
+			n, MaxUnknowns, n, n)
 	}
 	c.finalized = true
 
@@ -262,14 +273,6 @@ type Eval struct {
 	// C and G are the assembled Jacobians ∂q/∂x and ∂f/∂x.
 	C, G *sparse.CSR
 
-	// Bypasses counts device evaluations skipped by the latency bypass
-	// (EnableBypass) over the evaluator's lifetime.
-	Bypasses int
-
-	bypassVTol float64
-	bypassHold bool         // replay suspended (HoldBypass); tapes stay valid
-	tapes      []*stampTape // index-aligned with c.devices; nil entry = not bypassable
-
 	ctx EvalCtx
 }
 
@@ -305,29 +308,8 @@ func (ev *Eval) At(x []float64, t float64) {
 	ev.G.ZeroVals()
 	ev.ctx.X = x
 	ev.ctx.T = t
-	if ev.tapes == nil || ev.bypassHold {
-		for _, d := range ev.c.devices {
-			d.Eval(&ev.ctx)
-		}
-	} else {
-		for di, d := range ev.c.devices {
-			tp := ev.tapes[di]
-			if tp == nil {
-				d.Eval(&ev.ctx)
-				continue
-			}
-			if tp.fresh(x, ev.bypassVTol) {
-				tp.replay(ev)
-				ev.Bypasses++
-				continue
-			}
-			tp.snapshot(x)
-			tp.recs = tp.recs[:0]
-			ev.ctx.tape = tp
-			d.Eval(&ev.ctx)
-			ev.ctx.tape = nil
-			tp.valid = true
-		}
+	for _, d := range ev.c.devices {
+		d.Eval(&ev.ctx)
 	}
 	// Gmin stamps: conductance to ground on every node.
 	gmin := ev.c.Gmin
@@ -356,10 +338,6 @@ type EvalCtx struct {
 	// X is the state vector being evaluated; T the time.
 	X []float64
 	T float64
-
-	// tape, when non-nil, records the current device's stamps for later
-	// bypass replay (see bypass.go).
-	tape *stampTape
 }
 
 // V returns the value of unknown id in the current state (0 for ground).
@@ -374,9 +352,6 @@ func (e *EvalCtx) V(id UnknownID) float64 {
 func (e *EvalCtx) AddF(id UnknownID, v float64) {
 	if id != Ground {
 		e.ev.F[id] += v
-		if e.tape != nil {
-			e.tape.recs = append(e.tape.recs, stampRec{tapeF, int32(id), v})
-		}
 	}
 }
 
@@ -384,9 +359,6 @@ func (e *EvalCtx) AddF(id UnknownID, v float64) {
 func (e *EvalCtx) AddQ(id UnknownID, v float64) {
 	if id != Ground {
 		e.ev.Q[id] += v
-		if e.tape != nil {
-			e.tape.recs = append(e.tape.recs, stampRec{tapeQ, int32(id), v})
-		}
 	}
 }
 
@@ -394,9 +366,6 @@ func (e *EvalCtx) AddQ(id UnknownID, v float64) {
 func (e *EvalCtx) AddSrc(id UnknownID, v float64) {
 	if id != Ground {
 		e.ev.Src[id] += v
-		if e.tape != nil {
-			e.tape.recs = append(e.tape.recs, stampRec{tapeSrc, int32(id), v})
-		}
 	}
 }
 
@@ -407,9 +376,6 @@ func (e *EvalCtx) AddG(s Slot, v float64) {
 	}
 	if idx := e.ev.c.gSlotMap[s]; idx >= 0 {
 		e.ev.G.Val[idx] += v
-		if e.tape != nil {
-			e.tape.recs = append(e.tape.recs, stampRec{tapeG, int32(idx), v})
-		}
 	}
 }
 
@@ -420,8 +386,5 @@ func (e *EvalCtx) AddC(s Slot, v float64) {
 	}
 	if idx := e.ev.c.cSlotMap[s]; idx >= 0 {
 		e.ev.C.Val[idx] += v
-		if e.tape != nil {
-			e.tape.recs = append(e.tape.recs, stampRec{tapeC, int32(idx), v})
-		}
 	}
 }

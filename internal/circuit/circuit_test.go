@@ -1,6 +1,8 @@
 package circuit
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -235,4 +237,27 @@ func TestEvalStateLengthChecked(t *testing.T) {
 		}
 	}()
 	ev.At([]float64{1, 2}, 0)
+}
+
+// TestFinalizeRejectsTooManyUnknowns pins the dense-Jacobian bound: a
+// circuit of exactly MaxUnknowns unknowns finalizes, one more is rejected
+// with an error naming the limit.
+func TestFinalizeRejectsTooManyUnknowns(t *testing.T) {
+	ladder := func(n int) *Circuit {
+		c := New()
+		prev := Ground
+		for i := 0; i < n; i++ {
+			node := c.Node(fmt.Sprintf("n%d", i))
+			c.AddDevice(&stubG{name: fmt.Sprintf("g%d", i), a: prev, b: node, g: 1})
+			prev = node
+		}
+		return c
+	}
+	if err := ladder(MaxUnknowns).Finalize(); err != nil {
+		t.Fatalf("%d unknowns rejected: %v", MaxUnknowns, err)
+	}
+	err := ladder(MaxUnknowns + 1).Finalize()
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("limit of %d", MaxUnknowns)) {
+		t.Fatalf("%d unknowns: err = %v, want the unknown limit", MaxUnknowns+1, err)
+	}
 }

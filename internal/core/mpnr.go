@@ -3,10 +3,26 @@ package core
 import (
 	"context"
 	"math"
+	"sync/atomic"
 
 	"latchchar/internal/num"
 	"latchchar/internal/obs"
 )
+
+// correctorHold is the test hook installed by HoldCorrectorForTest.
+var correctorHold atomic.Pointer[func(context.Context)]
+
+// HoldCorrectorForTest makes every MPNR corrector iteration call hold with
+// the solve's context before it checks that context, and returns a function
+// that removes the hook. Tests use it to make a job outlast its deadline by
+// construction, whatever the solver speed: a hold that waits for ctx.Done
+// parks the first corrector iteration until the deadline, after which the
+// solve returns a *CanceledError as a slow solve would. It is for tests
+// only and must not be installed by concurrently running tests.
+func HoldCorrectorForTest(hold func(ctx context.Context)) (restore func()) {
+	correctorHold.Store(&hold)
+	return func() { correctorHold.Store(nil) }
+}
 
 // MPNROptions configure the Moore-Penrose Newton-Raphson corrector.
 type MPNROptions struct {
@@ -91,6 +107,9 @@ func SolveMPNRCtx(ctx context.Context, p Problem, tauS0, tauH0 float64, opts MPN
 	var ring iterRing
 	tauS, tauH := tauS0, tauH0
 	for iter := 1; iter <= o.MaxIter; iter++ {
+		if hold := correctorHold.Load(); hold != nil {
+			(*hold)(ctx)
+		}
 		if err := ctxErr(ctx, "mpnr", res.Point); err != nil {
 			return res, err
 		}

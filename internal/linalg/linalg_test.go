@@ -1,6 +1,8 @@
 package linalg
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -330,5 +332,98 @@ func TestNormInfMatrix(t *testing.T) {
 	m.Set(1, 0, 0.5)
 	if m.NormInf() != 3 {
 		t.Errorf("NormInf = %v", m.NormInf())
+	}
+}
+
+// circuitLike builds an n×n matrix shaped like an MNA Jacobian: a strong
+// diagonal plus a few off-diagonal couplings per row.
+func circuitLike(rng *rand.Rand, n int) *Matrix {
+	a := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		a.Add(i, i, 4+rng.Float64())
+		for k := 0; k < 3; k++ {
+			if j := rng.Intn(n); j != i {
+				a.Add(i, j, rng.NormFloat64())
+			}
+		}
+	}
+	return a
+}
+
+// TestSolveBeforeRefactorPanics checks that a zero LU, which holds no
+// factorization, refuses to solve instead of returning garbage.
+func TestSolveBeforeRefactorPanics(t *testing.T) {
+	var f LU
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	f.SolveInto(Vector{1}, Vector{0})
+}
+
+// TestRefactorPivotFloor pins the singularity test: a pivot at or below
+// PivotFloor times the largest entry is rejected, one just above it is not.
+func TestRefactorPivotFloor(t *testing.T) {
+	diag := func(small float64) *Matrix {
+		a := NewMatrix(2, 2)
+		a.Set(0, 0, 1e3)
+		a.Set(1, 1, small)
+		return a
+	}
+	var f LU
+	if err := f.Refactor(diag(1e3 * PivotFloor)); !errors.Is(err, ErrSingular) {
+		t.Errorf("pivot at the floor: err = %v, want ErrSingular", err)
+	}
+	if err := f.Refactor(diag(1e3 * PivotFloor * 10)); err != nil {
+		t.Errorf("pivot above the floor: %v", err)
+	}
+}
+
+// TestRefactorSolveZeroAllocs checks the inner-loop contract: once an LU
+// has factored a system of its size, Refactor and SolveInto allocate
+// nothing.
+func TestRefactorSolveZeroAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	a := circuitLike(rng, 14)
+	b, x := NewVector(14), NewVector(14)
+	for i := range b {
+		b[i] = rng.NormFloat64()
+	}
+	var f LU
+	if err := f.Refactor(a); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := f.Refactor(a); err != nil {
+			t.Fatal(err)
+		}
+		f.SolveInto(b, x)
+	})
+	if allocs != 0 {
+		t.Errorf("Refactor+SolveInto allocated %v times per run, want 0", allocs)
+	}
+}
+
+// BenchmarkRefactor measures factor+solve on circuit-shaped matrices, from
+// the latch cells' size (n=14) up to deck sizes well past any shipped cell.
+func BenchmarkRefactor(b *testing.B) {
+	for _, n := range []int{14, 100, 300} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			a := circuitLike(rng, n)
+			rhs, x := NewVector(n), NewVector(n)
+			for i := range rhs {
+				rhs[i] = rng.NormFloat64()
+			}
+			var f LU
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := f.Refactor(a); err != nil {
+					b.Fatal(err)
+				}
+				f.SolveInto(rhs, x)
+			}
+		})
 	}
 }

@@ -1,6 +1,9 @@
-// Package linalg provides dense vectors, dense matrices and an LU solver
-// with partial pivoting. It is the reference implementation the sparse
-// package is validated against, and the fallback solver for small systems.
+// Package linalg provides dense vectors, dense matrices and the LU solver
+// with partial pivoting that every simulator solve goes through: the
+// transient Newton loop, its sensitivity solves and the DC operating point
+// scatter their sparse Jacobians into a dense n×n matrix and factor it here.
+// Latch cells have a dozen or so unknowns, where a dense factorization beats
+// any sparse ordering on both speed and determinism (DESIGN §2).
 package linalg
 
 import (

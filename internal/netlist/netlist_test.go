@@ -1,12 +1,14 @@
 package netlist
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"latchchar/internal/circuit"
 	"latchchar/internal/registers"
 	"latchchar/internal/stf"
 )
@@ -413,4 +415,32 @@ func FuzzParse(f *testing.F) {
 			_, _ = d.Build()
 		}
 	})
+}
+
+// TestBuildRejectsOversizedDeck feeds a syntactically valid deck whose
+// resistor ladder pushes the unknown count past circuit.MaxUnknowns: Build
+// must fail with the limit error instead of handing the solvers a matrix
+// of gigabytes.
+func TestBuildRejectsOversizedDeck(t *testing.T) {
+	var b strings.Builder
+	b.WriteString(`.model nch nmos VT0=0.43 KP=115u
+Vc clk 0 CLOCK(0 2.5 10n 1n 0.1n 0.1n)
+Vd d 0 DATA(11.05n 2.5 0 0.1n 0.1n)
+M1 q d 0 0 nch W=1u L=0.25u
+.out q
+`)
+	prev := "q"
+	for i := 0; i < circuit.MaxUnknowns; i++ {
+		node := fmt.Sprintf("n%d", i)
+		fmt.Fprintf(&b, "R%d %s %s 1k\n", i, prev, node)
+		prev = node
+	}
+	d, err := ParseString(b.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = d.Build()
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("limit of %d", circuit.MaxUnknowns)) {
+		t.Fatalf("oversized deck: err = %v, want the unknown limit", err)
+	}
 }

@@ -59,16 +59,12 @@ const (
 	CtrSteps          = "integrator_steps"
 	CtrNewtonIters    = "newton_iters"
 	CtrLUFactor       = "lu_factorizations"
-	CtrLURefactor     = "lu_refactorizations"
 	CtrSensSolves     = "sens_solves"
 	CtrSensFactReused = "sens_factorizations_reused"
 	CtrPoints         = "contour_points"
 	CtrStepRejects    = "step_rejects"
 	CtrWarmSeeds      = "warm_seeds"
 	CtrCalReused      = "calibrations_reused"
-	CtrChordIters     = "chord_iters"
-	CtrJacobianReuses = "jacobian_reuses"
-	CtrDeviceBypasses = "device_bypasses"
 	CtrRuntimeSamples = "runtime_samples"
 	// Block-transient kernel (internal/transient.Engine.RunLanes).
 	CtrBlockRuns        = "block_runs"
@@ -94,7 +90,6 @@ const (
 const (
 	HistNewtonIters    = "newton_iters_per_step"
 	HistCorrectorIters = "corrector_iters"
-	HistChordIters     = "chord_iters_per_step"
 	// HistBlockSize records the lane count of each block-transient run.
 	HistBlockSize = "block_size"
 )

@@ -8,21 +8,23 @@ import (
 )
 
 // Recorder is a flight recorder: a bounded ring buffer over the most recent
-// events of a run, attached as an always-on Sink. When the run is healthy it
-// costs one struct copy per event (O(1), no per-event allocation after the
-// ring fills); when a job fails, times out, or is cancelled, the recorded
-// window is dumped with WriteDump as a JSONL post-mortem that
+// events of a run, attached as an always-on Sink. The buffer grows on demand
+// up to its capacity and only then starts wrapping, so a short job holds
+// memory for the events it recorded, not for a full ring. When the run is
+// healthy it costs one struct copy per event (O(1), no per-event allocation
+// once the ring is full); when a job fails, times out, or is cancelled, the
+// recorded window is dumped with WriteDump as a JSONL post-mortem that
 // ValidateDump / `tracecheck -dump` accepts.
 //
 // Event is invoked under the collector lock (all sinks are), so it never
 // blocks and never calls back into the run. Snapshot and WriteDump may be
 // called concurrently from the serving layer after the job dies.
 type Recorder struct {
-	mu      sync.Mutex
-	buf     []Event
-	next    int   // index of the next write
-	full    bool  // ring has wrapped at least once
-	dropped int64 // events evicted by the wrap
+	mu       sync.Mutex
+	buf      []Event // grows to capacity, then wraps
+	capacity int
+	next     int   // index of the next write once the ring is full
+	dropped  int64 // events evicted by the wrap
 }
 
 // DefaultRecorderCapacity is the ring size used when NewRecorder is given a
@@ -35,20 +37,24 @@ func NewRecorder(capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultRecorderCapacity
 	}
-	return &Recorder{buf: make([]Event, capacity)}
+	return &Recorder{capacity: capacity}
 }
 
 // Event records e into the ring, evicting the oldest event once full.
 func (r *Recorder) Event(e *Event) {
 	r.mu.Lock()
-	if r.full {
+	if n := len(r.buf); n < r.capacity {
+		if n == cap(r.buf) {
+			// Double, but never past the capacity.
+			grown := make([]Event, n, min(max(2*n, 64), r.capacity))
+			copy(grown, r.buf)
+			r.buf = grown
+		}
+		r.buf = append(r.buf, *e)
+	} else {
+		r.buf[r.next] = *e
+		r.next = (r.next + 1) % r.capacity
 		r.dropped++
-	}
-	r.buf[r.next] = *e
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.full = true
 	}
 	r.mu.Unlock()
 }
@@ -62,14 +68,9 @@ func (r *Recorder) Close(*Summary) error { return nil }
 func (r *Recorder) Snapshot() ([]Event, int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var out []Event
-	if r.full {
-		out = make([]Event, 0, len(r.buf))
-		out = append(out, r.buf[r.next:]...)
-		out = append(out, r.buf[:r.next]...)
-	} else {
-		out = append(out, r.buf[:r.next]...)
-	}
+	out := make([]Event, 0, len(r.buf))
+	out = append(out, r.buf[r.next:]...)
+	out = append(out, r.buf[:r.next]...)
 	return out, r.dropped
 }
 
@@ -77,10 +78,7 @@ func (r *Recorder) Snapshot() ([]Event, int64) {
 func (r *Recorder) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.full {
-		return len(r.buf)
-	}
-	return r.next
+	return len(r.buf)
 }
 
 // DumpMeta identifies a post-mortem dump: which request (Corr) and job it

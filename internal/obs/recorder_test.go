@@ -44,8 +44,39 @@ func TestRecorderPartialRing(t *testing.T) {
 
 func TestRecorderDefaultCapacity(t *testing.T) {
 	rec := NewRecorder(0)
-	if got := len(rec.buf); got != DefaultRecorderCapacity {
-		t.Fatalf("default capacity = %d, want %d", got, DefaultRecorderCapacity)
+	if rec.capacity != DefaultRecorderCapacity {
+		t.Fatalf("default capacity = %d, want %d", rec.capacity, DefaultRecorderCapacity)
+	}
+}
+
+// TestRecorderGrowsOnDemand checks that a short run holds memory only for
+// the events it recorded — about the 212 events of a 12-point cold job —
+// and that the ring never grows past its capacity once it wraps.
+func TestRecorderGrowsOnDemand(t *testing.T) {
+	rec := NewRecorder(0)
+	if cap(rec.buf) != 0 {
+		t.Fatalf("fresh recorder preallocates %d events", cap(rec.buf))
+	}
+	for i := 0; i < 212; i++ {
+		rec.Event(&Event{V: SchemaVersion, Kind: KindPoint, TNs: int64(i)})
+	}
+	if rec.Len() != 212 {
+		t.Fatalf("Len = %d, want 212", rec.Len())
+	}
+	if c := cap(rec.buf); c < 212 || c > 2*212 {
+		t.Fatalf("212 events held in a buffer of %d", c)
+	}
+
+	small := NewRecorder(100)
+	for i := 0; i < 1000; i++ {
+		small.Event(&Event{V: SchemaVersion, Kind: KindPoint, TNs: int64(i)})
+	}
+	if c := cap(small.buf); c != 100 {
+		t.Fatalf("capacity-100 ring grew to %d", c)
+	}
+	events, dropped := small.Snapshot()
+	if len(events) != 100 || dropped != 900 || events[0].TNs != 900 || events[99].TNs != 999 {
+		t.Fatalf("snapshot: %d events from t=%d, %d dropped", len(events), events[0].TNs, dropped)
 	}
 }
 

@@ -146,11 +146,8 @@ func WriteSummary(w io.Writer, sum *Summary) error {
 		fmt.Fprintf(w, "integrator: %d steps, %d Newton iterations\n",
 			steps, sum.Counters[CtrNewtonIters])
 	}
-	full := sum.Counters[CtrLUFactor]
-	re := sum.Counters[CtrLURefactor]
-	if full+re > 0 {
-		fmt.Fprintf(w, "LU: %d factorizations (%d full + %d pivot-reusing, %.1f%% reused)\n",
-			full+re, full, re, 100*float64(re)/float64(full+re))
+	if n := sum.Counters[CtrLUFactor]; n > 0 {
+		fmt.Fprintf(w, "LU: %d factorizations\n", n)
 	}
 	if n := sum.Counters[CtrSensSolves]; n > 0 {
 		fmt.Fprintf(w, "sensitivities: %d solves, %d factorizations reused (gradient ≈ free)\n",
@@ -166,7 +163,7 @@ func WriteSummary(w io.Writer, sum *Summary) error {
 	// Leftover counters not covered above, for forward compatibility.
 	known := map[string]bool{
 		CtrTransients: true, CtrTransientsGrad: true, CtrSteps: true,
-		CtrNewtonIters: true, CtrLUFactor: true, CtrLURefactor: true,
+		CtrNewtonIters: true, CtrLUFactor: true,
 		CtrSensSolves: true, CtrSensFactReused: true, CtrPoints: true,
 		CtrStepRejects: true,
 	}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"log/slog"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"latchchar/internal/core"
 	"latchchar/internal/obs"
 	"latchchar/serveclient"
 )
@@ -21,11 +23,14 @@ func discardLogger() *slog.Logger {
 
 // A timed-out job must leave a tracecheck-valid flight-recorder dump in
 // DumpDir: dump_meta header with reason "timeout" and the job's correlation
-// ID, a recorded event window, every event stamped with the same ID.
+// ID, a recorded event window, every event stamped with the same ID. The
+// corrector is held until the job's deadline, so the job outlasts the
+// timeout however fast the solver is.
 func TestJobTimeoutWritesFlightDump(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a characterization into its timeout")
 	}
+	defer core.HoldCorrectorForTest(func(ctx context.Context) { <-ctx.Done() })()
 	dumpDir := t.TempDir()
 	_, ts := newTestServer(t, Config{
 		JobTimeout: 300 * time.Millisecond,

@@ -41,16 +41,12 @@ func (a *obsAgg) init() {
 		obs.CtrSteps:                  0,
 		obs.CtrNewtonIters:            0,
 		obs.CtrLUFactor:               0,
-		obs.CtrLURefactor:             0,
 		obs.CtrSensSolves:             0,
 		obs.CtrSensFactReused:         0,
 		obs.CtrPoints:                 0,
 		obs.CtrStepRejects:            0,
 		obs.CtrWarmSeeds:              0,
 		obs.CtrCalReused:              0,
-		obs.CtrChordIters:             0,
-		obs.CtrJacobianReuses:         0,
-		obs.CtrDeviceBypasses:         0,
 		obs.CtrRuntimeSamples:         0,
 		obs.CtrBlockRuns:              0,
 		obs.CtrBlockPeelOffs:          0,

@@ -22,7 +22,9 @@ import (
 
 // ResolveCell turns a request into a buildable cell: an inline deck, or a
 // built-in cell with Process/Timing overrides decoded on top of its
-// defaults.
+// defaults. An inline deck is built once here, so a deck that cannot be
+// simulated (e.g. one past circuit.MaxUnknowns) is a request error rather
+// than a failed job.
 func ResolveCell(req *serveclient.CharacterizeRequest) (*latchchar.Cell, error) {
 	if req.Netlist != "" {
 		if len(req.Process) > 0 || len(req.Timing) > 0 {
@@ -30,6 +32,9 @@ func ResolveCell(req *serveclient.CharacterizeRequest) (*latchchar.Cell, error) 
 		}
 		deck, err := latchchar.ParseNetlistString(req.Netlist)
 		if err != nil {
+			return nil, err
+		}
+		if _, err := deck.Build(); err != nil {
 			return nil, err
 		}
 		name := req.Cell
@@ -73,14 +78,14 @@ func ResolveCell(req *serveclient.CharacterizeRequest) (*latchchar.Cell, error) 
 
 // ToOptions converts the wire options to characterization options. The
 // engine's own Options.Validate runs downstream and covers ranges; only
-// wire-level choices (the method name) are checked here.
+// wire-level choices (the method name) are checked here. FastPath is
+// accepted and ignored: every characterization runs the exact evaluator
+// (DESIGN §10), so fast_path true and false resolve to the same options and
+// share one coalescing key.
 func ToOptions(o serveclient.OptionsRequest) (latchchar.Options, error) {
 	eval := latchchar.EvalConfig{
 		Degrade:      o.Degrade,
 		MaxSetupSkew: o.MaxSetupSkewPS * 1e-12,
-	}
-	if o.FastPath {
-		eval = eval.WithFastPath()
 	}
 	opts := latchchar.Options{
 		Points:         o.Points,
@@ -236,6 +241,7 @@ func RequestKey(req *serveclient.CharacterizeRequest, cell *latchchar.Cell) stri
 		Timing:  cell.Timing,
 		Options: req.Options,
 	}
+	canonical.Options.FastPath = false // a no-op (ToOptions), so not part of the key
 	b, err := json.Marshal(canonical)
 	if err != nil {
 		// Process/Timing/OptionsRequest are plain scalar structs; Marshal
@@ -270,9 +276,6 @@ func RenderResult(cell string, res *latchchar.Result) *serveclient.ResultJSON {
 			NewtonIters:      res.Stats.NewtonIters,
 			Factorizations:   res.Stats.Factorizations,
 			SensSolves:       res.Stats.SensSolves,
-			ChordIters:       res.Stats.ChordIters,
-			JacobianReuses:   res.Stats.JacobianReuses,
-			DeviceBypasses:   res.Stats.DeviceBypasses,
 			BlockSharedSteps: res.Stats.BlockSharedSteps,
 			BlockPeelOffs:    res.Stats.BlockPeelOffs,
 			WallMS:           DurMS(res.Stats.Wall),

@@ -1,6 +1,7 @@
 package jobcore
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -38,32 +39,29 @@ func TestRequestKeyStability(t *testing.T) {
 	}
 }
 
+// TestFastPathOptionMapping pins the v1 wire contract for fast_path: still
+// accepted, but with no effect — true and false resolve to the same options
+// and coalesce onto the same key.
 func TestFastPathOptionMapping(t *testing.T) {
-	opts, err := ToOptions(serveclient.OptionsRequest{FastPath: true})
+	exact, err := ToOptions(serveclient.OptionsRequest{Points: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !opts.Eval.Chord || !opts.Eval.DeviceBypass {
-		t.Errorf("fast_path must enable both chord and device bypass, got Chord=%v DeviceBypass=%v",
-			opts.Eval.Chord, opts.Eval.DeviceBypass)
-	}
-	opts, err = ToOptions(serveclient.OptionsRequest{})
+	fast, err := ToOptions(serveclient.OptionsRequest{Points: 3, FastPath: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.Eval.Chord || opts.Eval.DeviceBypass {
-		t.Error("fast path must stay off by default")
+	if !reflect.DeepEqual(exact, fast) {
+		t.Errorf("fast_path changed the options:\n exact %+v\n fast  %+v", exact, fast)
 	}
 	cell, err := latchchar.CellByName("tspc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// fast_path selects a different inner loop — it must not coalesce with
-	// exact-path requests.
-	exact := &serveclient.CharacterizeRequest{Cell: "tspc", Options: serveclient.OptionsRequest{Points: 3}}
-	fast := &serveclient.CharacterizeRequest{Cell: "tspc", Options: serveclient.OptionsRequest{Points: 3, FastPath: true}}
-	if RequestKey(exact, cell) == RequestKey(fast, cell) {
-		t.Error("fast_path requests share a coalescing key with exact requests")
+	exactReq := &serveclient.CharacterizeRequest{Cell: "tspc", Options: serveclient.OptionsRequest{Points: 3}}
+	fastReq := &serveclient.CharacterizeRequest{Cell: "tspc", Options: serveclient.OptionsRequest{Points: 3, FastPath: true}}
+	if RequestKey(exactReq, cell) != RequestKey(fastReq, cell) {
+		t.Error("fast_path requests no longer coalesce with exact requests")
 	}
 }
 

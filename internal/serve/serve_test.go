@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"latchchar"
+	"latchchar/internal/circuit"
 	"latchchar/internal/obs"
 	"latchchar/serveclient"
 )
@@ -452,6 +454,7 @@ func TestRequestValidation(t *testing.T) {
 		{"mc in batch", "/v1/batch", `{"jobs":[{"cell":"tspc","options":{"mc_samples":4}}]}`, http.StatusBadRequest},
 		{"empty batch", "/v1/batch", `{"jobs":[]}`, http.StatusBadRequest},
 		{"bad batch item", "/v1/batch", `{"jobs":[{"cell":"zzz"}]}`, http.StatusBadRequest},
+		{"deck past the unknown limit", "/v1/characterize", oversizedDeckRequest(t), http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+tc.url, "application/json", strings.NewReader(tc.body))
@@ -527,4 +530,29 @@ func TestConfigRequiresEngine(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Error("nil engine accepted")
 	}
+}
+
+// oversizedDeckRequest renders a characterize request whose inline deck is
+// valid but has more unknowns than circuit.MaxUnknowns: a resistor ladder
+// hung off the output node.
+func oversizedDeckRequest(t *testing.T) string {
+	t.Helper()
+	var deck strings.Builder
+	deck.WriteString(`.model nch nmos VT0=0.43 KP=115u
+Vc clk 0 CLOCK(0 2.5 10n 1n 0.1n 0.1n)
+Vd d 0 DATA(11.05n 2.5 0 0.1n 0.1n)
+M1 q d 0 0 nch W=1u L=0.25u
+.out q
+`)
+	prev := "q"
+	for i := 0; i < circuit.MaxUnknowns; i++ {
+		node := fmt.Sprintf("n%d", i)
+		fmt.Fprintf(&deck, "R%d %s %s 1k\n", i, prev, node)
+		prev = node
+	}
+	b, err := json.Marshal(serveclient.CharacterizeRequest{Netlist: deck.String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }

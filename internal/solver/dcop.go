@@ -9,7 +9,7 @@ import (
 	"math"
 
 	"latchchar/internal/circuit"
-	"latchchar/internal/sparse"
+	"latchchar/internal/linalg"
 )
 
 // ErrNoConvergence is returned when every solution strategy fails.
@@ -147,7 +147,8 @@ func dcNewton(ev *circuit.Eval, x []float64, t, alpha, gExtra float64, o DCOptio
 	numNodes := c.NumNodes()
 	r := make([]float64, n)
 	dx := make([]float64, n)
-	var lu sparse.Reusable
+	j := linalg.NewMatrix(n, n)
+	var lu linalg.LU
 	// Cache the diagonal positions for the gmin-stepping conductance.
 	var diag []int
 	if gExtra > 0 {
@@ -172,10 +173,12 @@ func dcNewton(ev *circuit.Eval, x []float64, t, alpha, gExtra float64, o DCOptio
 				ev.G.Val[diag[i]] += gExtra
 			}
 		}
-		if err := lu.Factorize(ev.G); err != nil {
+		j.Zero()
+		ev.G.ScatterAdd(1, j)
+		if err := lu.Refactor(j); err != nil {
 			return iter, fmt.Errorf("solver: Jacobian singular at iteration %d: %w", iter, err)
 		}
-		lu.Solve(r, dx)
+		lu.SolveInto(r, dx)
 		// Damping: limit the largest voltage move.
 		scale := 1.0
 		if o.MaxStep > 0 {

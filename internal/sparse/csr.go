@@ -1,9 +1,7 @@
-// Package sparse implements the sparse linear algebra used by the circuit
-// simulator: triplet assembly, compressed sparse row (CSR) storage, pattern
-// union for forming C/Δt + G Jacobians, and an LU factorization with
-// Markowitz ordering, threshold partial pivoting and fast numeric
-// refactorization along a recorded pivot sequence — the classic SPICE
-// (sparse1.3) recipe.
+// Package sparse implements the sparse storage used by the circuit
+// simulator: triplet assembly, compressed sparse row (CSR) storage for the
+// C and G stamp patterns, matrix-vector products, and the scatter of
+// α·C + G into the dense matrix internal/linalg factors.
 package sparse
 
 import (
@@ -171,26 +169,22 @@ func (m *CSR) Clone() *CSR {
 // ToDense converts to a dense matrix; intended for tests and debugging.
 func (m *CSR) ToDense() *linalg.Matrix {
 	d := linalg.NewMatrix(m.N, m.N)
-	for i := 0; i < m.N; i++ {
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			d.Add(i, m.Col[k], m.Val[k])
-		}
-	}
+	m.ScatterAdd(1, d)
 	return d
 }
 
-// MaxAbs returns the largest absolute stored value.
-func (m *CSR) MaxAbs() float64 {
-	best := 0.0
-	for _, v := range m.Val {
-		if v < 0 {
-			v = -v
-		}
-		if v > best {
-			best = v
+// ScatterAdd accumulates alpha·M into the dense n×n matrix d — how the
+// solvers form the Jacobian α·C + G from the circuit's stamps.
+func (m *CSR) ScatterAdd(alpha float64, d *linalg.Matrix) {
+	if d.Rows != m.N || d.Cols != m.N {
+		panic("sparse: ScatterAdd dimension mismatch")
+	}
+	for i := 0; i < m.N; i++ {
+		row := d.Data[i*m.N : (i+1)*m.N]
+		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
+			row[m.Col[k]] += alpha * m.Val[k]
 		}
 	}
-	return best
 }
 
 // FromDense builds a CSR from a dense matrix, storing entries with

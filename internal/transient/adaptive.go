@@ -7,8 +7,8 @@ import (
 	"math"
 
 	"latchchar/internal/circuit"
+	"latchchar/internal/linalg"
 	"latchchar/internal/num"
-	"latchchar/internal/sparse"
 )
 
 // Adaptive time stepping. Characterization transients must run on fixed,
@@ -103,8 +103,8 @@ func RunAdaptiveCtx(ctx context.Context, ckt *circuit.Circuit, x0 []float64, t0,
 	}
 	o := opts.withDefaults(t1 - t0)
 	ev := ckt.NewEval()
-	j, mapC, mapG := sparse.UnionPattern(ev.C, ev.G)
-	var lu sparse.Reusable
+	j := linalg.NewMatrix(n, n)
+	var lu linalg.LU
 
 	x := append([]float64(nil), x0...)
 	xPrev := append([]float64(nil), x0...) // state at the previous accepted point
@@ -185,11 +185,14 @@ func RunAdaptiveCtx(ctx context.Context, ckt *circuit.Circuit, x0 []float64, t0,
 					r[i] = alpha*(ev.Q[i]-qPrev[i]) + ev.F[i] + ev.Src[i]
 				}
 			}
-			sparse.Combine(j, alpha, ev.C, mapC, 1, ev.G, mapG)
-			if err := lu.Factorize(j); err != nil {
+			j.Zero()
+			ev.C.ScatterAdd(alpha, j)
+			ev.G.ScatterAdd(1, j)
+			res.Stats.Factorizations++
+			if err := lu.Refactor(j); err != nil {
 				return res, fmt.Errorf("transient: adaptive factorization: %w", err)
 			}
-			lu.Solve(r, dx)
+			lu.SolveInto(r, dx)
 			res.Stats.NewtonIters++
 			conv := true
 			for i := 0; i < n; i++ {
@@ -261,6 +264,5 @@ func RunAdaptiveCtx(ctx context.Context, ckt *circuit.Circuit, x0 []float64, t0,
 		}
 	}
 	res.X = x
-	res.Stats.Factorizations = lu.Factorizations + lu.Refactorizations
 	return res, nil
 }

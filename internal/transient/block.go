@@ -88,7 +88,6 @@ func (e *Engine) runLanes(ctx context.Context, x0 []float64, grid Grid, tSplit f
 	}
 	e.stats = Stats{}
 	wall0 := time.Now()
-	byp0 := e.ev.Bypasses
 	prefix, peeled := 0, 0 // shared steps integrated, lanes failed
 
 	// The lanes are bit-identical on every step ending strictly before
@@ -149,8 +148,6 @@ func (e *Engine) runLanes(ctx context.Context, x0 []float64, grid Grid, tSplit f
 
 	res.Stats = e.stats
 	res.Stats.Steps = steps
-	res.Stats.Factorizations = e.factorizations()
-	res.Stats.DeviceBypasses = e.ev.Bypasses - byp0
 	res.Stats.BlockSharedSteps = (k - 1) * prefix
 	if peeled < k {
 		res.Stats.BlockPeelOffs = peeled
@@ -172,13 +169,9 @@ func (e *Engine) saveFork() {
 	}
 }
 
-// restoreFork rewinds the integrator to the fork snapshot. The standing
-// factorization belongs to another lane's tail, so the chord gate is reset
-// as in initAt.
+// restoreFork rewinds the integrator to the fork snapshot.
 func (e *Engine) restoreFork() {
 	for i, v := range e.forkState() {
 		copy(v, e.fork[i])
 	}
-	e.chordReady = false
-	e.drift = 0
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"latchchar/internal/circuit"
+	"latchchar/internal/linalg"
 	"latchchar/internal/num"
 	"latchchar/internal/obs"
 	"latchchar/internal/sparse"
@@ -59,46 +60,13 @@ type Options struct {
 	// RunObs; with neither, only Stats.Wall is measured and the step loop
 	// carries no timing overhead.
 	Timing bool
-
-	// Chord enables chord (modified-Newton) iterations: the Newton update is
-	// back-substituted against the standing LU factorization — skipping the
-	// Combine assembly and refactorization — for as long as the iteration
-	// keeps contracting. The residual is always exact, so a converged chord
-	// iteration satisfies the same tolerances as full Newton; a stalled or
-	// diverging one transparently falls back to a full iteration on the same
-	// residual. Chord also unlocks the sensitivity-factorization reuse below.
-	Chord bool
-	// ChordContraction is the contraction-rate threshold θ: a chord update
-	// with ‖dx_k‖ > θ·‖dx_{k−1}‖ counts as a stall and forces the next
-	// iteration to rebuild the Jacobian (default 0.5). Values ≥ 1 accept
-	// non-contracting chord steps and are rejected by the options layer.
-	ChordContraction float64
-	// ChordMaxAge bounds how many back-substitutions one factorization may
-	// serve before a rebuild is forced regardless of contraction (default 20).
-	ChordMaxAge int
-	// SensReuseTol is the total-iterate-drift tolerance (volts) under which a
-	// Skews run reuses the standing factorization for the sensitivity solves
-	// instead of building the converged-state one (default 1e-6). Only active
-	// with Chord; reuses are counted in Stats.JacobianReuses.
-	SensReuseTol float64
-	// DeviceBypass enables the device-eval latency bypass: devices whose
-	// terminal voltages moved less than BypassVTol since their last true
-	// evaluation replay cached stamps (circuit.Eval.EnableBypass). The bypass
-	// serves only the first Newton iteration of each step — quiescent steps,
-	// where it pays — and is held for the rest of the step so a frozen
-	// residual can never pin the iteration above the convergence tolerance.
-	DeviceBypass bool
-	// BypassVTol is the bypass terminal-voltage tolerance in volts
-	// (default circuit.DefaultBypassVTol, 1 µV).
-	BypassVTol float64
 }
 
 // Validate rejects option values the defaulting pass cannot repair:
-// non-finite tolerances, a non-contracting chord threshold and negative
-// iteration bounds. The zero value is valid — withDefaults fills every
-// unset knob — and Options built from a validated stf.Config never trip it;
-// RunCtx re-checks so hand-built engines fail fast instead of iterating on
-// NaN.
+// non-finite tolerances and a negative iteration bound. The zero value is
+// valid — withDefaults fills every unset knob — and Options built from a
+// validated stf.Config never trip it; RunCtx re-checks so hand-built
+// engines fail fast instead of iterating on NaN.
 func (o Options) Validate() error {
 	for _, f := range []struct {
 		name string
@@ -107,19 +75,13 @@ func (o Options) Validate() error {
 		{"VTol", o.VTol},
 		{"ITol", o.ITol},
 		{"RelTol", o.RelTol},
-		{"ChordContraction", o.ChordContraction},
-		{"SensReuseTol", o.SensReuseTol},
-		{"BypassVTol", o.BypassVTol},
 	} {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
 			return fmt.Errorf("transient: %s must be finite, got %g", f.name, f.v)
 		}
 	}
-	if o.ChordContraction >= 1 {
-		return fmt.Errorf("transient: ChordContraction must contract (θ < 1), got %g", o.ChordContraction)
-	}
-	if o.MaxNewtonIter < 0 || o.ChordMaxAge < 0 {
-		return fmt.Errorf("transient: MaxNewtonIter and ChordMaxAge must be non-negative")
+	if o.MaxNewtonIter < 0 {
+		return fmt.Errorf("transient: MaxNewtonIter must be non-negative")
 	}
 	return nil
 }
@@ -137,15 +99,6 @@ func (o Options) withDefaults() Options {
 	if o.RelTol <= 0 {
 		o.RelTol = 1e-5
 	}
-	if o.ChordContraction <= 0 {
-		o.ChordContraction = 0.5
-	}
-	if o.ChordMaxAge <= 0 {
-		o.ChordMaxAge = 20
-	}
-	if o.SensReuseTol <= 0 {
-		o.SensReuseTol = 1e-6
-	}
 	return o
 }
 
@@ -161,15 +114,12 @@ type Stats struct {
 	// the mechanism behind the paper's "essentially free gradient" (one
 	// factorization serves both Newton and the mₛ/m_h solves, DESIGN §5).
 	SensFactorizationsReused int
-	// ChordIters counts Newton iterations served by a chord back-substitution
-	// (no Combine, no refactorization); always ≤ NewtonIters.
-	ChordIters int
-	// JacobianReuses counts Skews steps whose sensitivity solves reused the
-	// standing Newton factorization in place of a fresh converged-state one
-	// (Options.SensReuseTol).
+	// ChordIters, JacobianReuses and DeviceBypasses are always zero: every
+	// Newton iteration factors a fresh Jacobian and every device is
+	// evaluated exactly. The fields are kept for readers outside this
+	// module.
+	ChordIters     int
 	JacobianReuses int
-	// DeviceBypasses counts device evaluations replayed from cached stamps
-	// by the latency bypass (Options.DeviceBypass).
 	DeviceBypasses int
 
 	// Block-transient accounting (Engine.RunLanes; zero for scalar runs).
@@ -201,12 +151,8 @@ func (s *Stats) Add(other Stats) {
 	s.Factorizations += other.Factorizations
 	s.SensSolves += other.SensSolves
 	s.SensFactorizationsReused += other.SensFactorizationsReused
-	s.ChordIters += other.ChordIters
-	s.JacobianReuses += other.JacobianReuses
-	s.DeviceBypasses += other.DeviceBypasses
 	s.BlockSharedSteps += other.BlockSharedSteps
 	s.BlockPeelOffs += other.BlockPeelOffs
-	s.BlockDonorReplays += other.BlockDonorReplays
 	s.Wall += other.Wall
 	s.LU += other.LU
 	s.DeviceEval += other.DeviceEval
@@ -236,9 +182,8 @@ type Engine struct {
 	ev   *circuit.Eval
 	opts Options
 
-	j          *sparse.CSR // α·C + G
-	mapC, mapG []int
-	lu         sparse.Reusable
+	j  *linalg.Matrix // α·C + G, scattered from the circuit's stamps
+	lu linalg.LU
 
 	x, r, dx           []float64
 	qPrev              []float64
@@ -251,24 +196,13 @@ type Engine struct {
 
 	stats Stats
 
-	// Chord-policy state. chordReady gates chord solves (set after every
-	// fresh factorization, cleared on stall and at run start), chordAlpha is
-	// the α the standing factorization was assembled with, and drift
-	// accumulates the ‖dx‖∞ applied since the factorization was built — the
-	// staleness measure for the sensitivity-factorization reuse.
-	chordReady bool
-	chordAlpha float64
-	drift      float64
-
 	fork [8][]float64 // integrator state at a lane run's fork (saveFork)
 
 	// Per-run observability state (set by RunObs, cleared by default Run).
 	timed      bool     // collect fine-grained wall-clock attribution
 	hist       bool     // accumulate the per-step Newton histogram
 	newtonHist obs.Hist // local accumulator, merged once per run
-	chordHist  obs.Hist // chord iterations per step (steps that used any)
 	prof       profLabels
-	luF0, luR0 int // LU counters when the run began (set by begin)
 }
 
 // profLabels holds the prebuilt pprof label contexts; switching goroutine
@@ -301,12 +235,9 @@ func NewEngine(c *circuit.Circuit, opts Options) *Engine {
 		qPrev: make([]float64, n),
 		ms:    make([]float64, n),
 		mh:    make([]float64, n),
+		j:     linalg.NewMatrix(n, n),
 	}
-	e.j, e.mapC, e.mapG = sparse.UnionPattern(ev.C, ev.G)
 	e.cPrev = ev.C.Clone()
-	if o.DeviceBypass {
-		ev.EnableBypass(o.BypassVTol)
-	}
 	e.qdotPrev = make([]float64, n)
 	e.msdotPrev = make([]float64, n)
 	e.mhdot = make([]float64, n)
@@ -367,14 +298,12 @@ func (e *Engine) begin(run *obs.Run) (*obs.Run, error) {
 	e.hist = run.Enabled()
 	if e.hist {
 		e.newtonHist.Reset()
-		e.chordHist.Reset()
 	}
 	e.prof.active = run.ProfileLabelsEnabled()
 	if e.prof.active {
 		e.prof.init()
 		pprof.SetGoroutineLabels(e.prof.transient)
 	}
-	e.luF0, e.luR0 = e.lu.Factorizations, e.lu.Refactorizations
 	return run.StartSpan(obs.SpanTransient), nil
 }
 
@@ -383,8 +312,7 @@ func (e *Engine) begin(run *obs.Run) (*obs.Run, error) {
 // which additionally publishes the block counters and its block size.
 func (e *Engine) end(sp *obs.Run, st *Stats, lanes int) {
 	if sp.Enabled() {
-		sp.Count(obs.CtrLUFactor, int64(e.lu.Factorizations-e.luF0))
-		sp.Count(obs.CtrLURefactor, int64(e.lu.Refactorizations-e.luR0))
+		sp.Count(obs.CtrLUFactor, int64(e.stats.Factorizations))
 		if lanes > 0 {
 			sp.Count(obs.CtrBlockRuns, 1)
 			sp.Observe(obs.HistBlockSize, lanes)
@@ -394,16 +322,12 @@ func (e *Engine) end(sp *obs.Run, st *Stats, lanes int) {
 			sp.Count(obs.CtrNewtonIters, int64(st.NewtonIters))
 			sp.Count(obs.CtrSensSolves, int64(st.SensSolves))
 			sp.Count(obs.CtrSensFactReused, int64(st.SensFactorizationsReused))
-			sp.Count(obs.CtrChordIters, int64(st.ChordIters))
-			sp.Count(obs.CtrJacobianReuses, int64(st.JacobianReuses))
-			sp.Count(obs.CtrDeviceBypasses, int64(st.DeviceBypasses))
 			if lanes > 0 {
 				sp.Count(obs.CtrBlockPeelOffs, int64(st.BlockPeelOffs))
 				sp.Count(obs.CtrBlockSharedSteps, int64(st.BlockSharedSteps))
 			}
 		}
 		sp.Merge(obs.HistNewtonIters, &e.newtonHist)
-		sp.Merge(obs.HistChordIters, &e.chordHist)
 	}
 	sp.End()
 	if e.prof.active {
@@ -437,7 +361,6 @@ func (e *Engine) run(ctx context.Context, x0 []float64, grid Grid) (*Result, err
 	wall0 := time.Now()
 	e.initAt(x0, pts[0])
 	record(0)
-	byp0 := e.ev.Bypasses
 	for k := 1; k < len(pts); k++ {
 		if err := canceled(ctx, pts, k); err != nil {
 			return nil, err
@@ -450,16 +373,8 @@ func (e *Engine) run(ctx context.Context, x0 []float64, grid Grid) (*Result, err
 	res.X, res.Ms, res.Mh = e.final()
 	res.Stats = e.stats
 	res.Stats.Steps = len(pts) - 1
-	res.Stats.Factorizations = e.factorizations()
-	res.Stats.DeviceBypasses = e.ev.Bypasses - byp0
 	res.Stats.Wall = time.Since(wall0)
 	return res, nil
-}
-
-// factorizations counts the full and pattern-reusing factorizations since
-// begin.
-func (e *Engine) factorizations() int {
-	return e.lu.Factorizations - e.luF0 + e.lu.Refactorizations - e.luR0
 }
 
 // canceled returns the error for a run whose ctx is done before step k of
@@ -493,10 +408,8 @@ func (e *Engine) final() (x, ms, mh []float64) {
 // cPrev and (for TRAP) the charge derivative qdot0 = −(f + src); the
 // sensitivities start at zero because x0 is fixed independent of the skews
 // (paper step 1c), with the TRAP derivative memory at −∂src/∂τ(t0), which
-// vanishes while the data line is quiescent. The standing factorization (if
-// any) predates this state, so the chord gate is reset: the first iteration
-// factorizes fresh. Both the scalar run and the lane run initialize
-// through here.
+// vanishes while the data line is quiescent. Both the scalar run and the
+// lane run initialize through here.
 func (e *Engine) initAt(x0 []float64, t0 float64) {
 	n := e.c.N()
 	copy(e.x, x0)
@@ -523,8 +436,6 @@ func (e *Engine) initAt(x0 []float64, t0 float64) {
 			e.mhdot[i] = -e.zhVec[i]
 		}
 	}
-	e.chordReady = false
-	e.drift = 0
 }
 
 // evalAt wraps the device evaluation with optional wall-clock attribution.
@@ -538,59 +449,43 @@ func (e *Engine) evalAt(t float64) {
 	e.stats.DeviceEval += time.Since(t0)
 }
 
-// factorSolve factorizes the assembled Jacobian and solves for the Newton
-// update, with optional LU wall-clock attribution and pprof phase labels.
-func (e *Engine) factorSolve() error {
+// factorize assembles J = α·C + G from the last evaluation's stamps and
+// factors it, with optional LU wall-clock attribution and pprof phase
+// labels.
+func (e *Engine) factorize(alpha float64) error {
 	if e.prof.active {
 		pprof.SetGoroutineLabels(e.prof.lu)
 		defer pprof.SetGoroutineLabels(e.prof.transient)
 	}
-	if !e.timed {
-		if err := e.lu.Factorize(e.j); err != nil {
-			return err
-		}
-		e.lu.Solve(e.r, e.dx)
-		return nil
+	var t0 time.Time
+	if e.timed {
+		t0 = time.Now()
 	}
-	t0 := time.Now()
-	err := e.lu.Factorize(e.j)
-	if err == nil {
-		e.lu.Solve(e.r, e.dx)
+	e.j.Zero()
+	e.ev.C.ScatterAdd(alpha, e.j)
+	e.ev.G.ScatterAdd(1, e.j)
+	err := e.lu.Refactor(e.j)
+	e.stats.Factorizations++
+	if e.timed {
+		e.stats.LU += time.Since(t0)
 	}
-	e.stats.LU += time.Since(t0)
 	return err
 }
 
-// solveOnly back-substitutes the residual against the standing factorization
-// (a chord iteration): no assembly, no factorization.
-func (e *Engine) solveOnly() {
+// solveNewton back-substitutes the residual for the Newton update, timed
+// and labeled like factorize.
+func (e *Engine) solveNewton() {
 	if e.prof.active {
 		pprof.SetGoroutineLabels(e.prof.lu)
 		defer pprof.SetGoroutineLabels(e.prof.transient)
 	}
 	if !e.timed {
-		e.lu.Solve(e.r, e.dx)
+		e.lu.SolveInto(e.r, e.dx)
 		return
 	}
 	t0 := time.Now()
-	e.lu.Solve(e.r, e.dx)
+	e.lu.SolveInto(e.r, e.dx)
 	e.stats.LU += time.Since(t0)
-}
-
-// factorize is factorSolve without the solve (the converged-state
-// factorization the sensitivity solves reuse).
-func (e *Engine) factorize() error {
-	if e.prof.active {
-		pprof.SetGoroutineLabels(e.prof.lu)
-		defer pprof.SetGoroutineLabels(e.prof.transient)
-	}
-	if !e.timed {
-		return e.lu.Factorize(e.j)
-	}
-	t0 := time.Now()
-	err := e.lu.Factorize(e.j)
-	e.stats.LU += time.Since(t0)
-	return err
 }
 
 func (e *Engine) zeroZ() {
@@ -598,13 +493,6 @@ func (e *Engine) zeroZ() {
 		e.zsVec[i] = 0
 		e.zhVec[i] = 0
 	}
-}
-
-// sameAlpha reports whether the standing factorization's α matches the
-// step's. Grid spacings of one phase can differ in the last ulp, so the
-// comparison is relative rather than exact.
-func sameAlpha(alpha, ref float64) bool {
-	return math.Abs(alpha-ref) <= 1e-9*math.Abs(alpha)
 }
 
 // step advances the state from t0 to t1, updating x, qPrev, cPrev and the
@@ -619,20 +507,10 @@ func (e *Engine) step(t0, t1 float64) error {
 		alpha = 1 / dt
 	}
 	numNodes := e.c.NumNodes()
-	chord := e.opts.Chord
 	converged := false
 	iters := 0
-	chordIters := 0
-	prevNorm := math.Inf(1) // ‖dx‖∞ of the previous iteration of this step
 	for iter := 0; iter < e.opts.MaxNewtonIter; iter++ {
-		if e.opts.DeviceBypass {
-			// Replay only on the first iteration; later iterations evaluate
-			// exactly so the residual can keep shrinking (bypass livelock).
-			e.ev.HoldBypass(iter > 0)
-		}
 		e.evalAt(t1)
-		// Residual — always exact, also under chord iterations, so the fast
-		// path converges to the same solution as full Newton.
 		switch e.opts.Method {
 		case TRAP:
 			for i := 0; i < n; i++ {
@@ -643,66 +521,26 @@ func (e *Engine) step(t0, t1 float64) error {
 				e.r[i] = alpha*(e.ev.Q[i]-e.qPrev[i]) + e.ev.F[i] + e.ev.Src[i]
 			}
 		}
-		// Chord path: back-substitute against the standing factorization and
-		// keep the update only while it still contracts. A non-finite or
-		// growing update is discarded and the same residual is redone as a
-		// full Newton iteration — the transparent fallback.
-		full := true
-		if chord && e.chordReady && e.lu.Age < e.opts.ChordMaxAge && sameAlpha(alpha, e.chordAlpha) {
-			e.solveOnly()
-			nrm, finite := 0.0, true
-			for i := 0; i < n; i++ {
-				v := math.Abs(e.dx[i])
-				if !num.IsFinite(v) {
-					finite = false
-					break
-				}
-				if v > nrm {
-					nrm = v
-				}
-			}
-			if finite && nrm <= prevNorm {
-				full = false
-				e.stats.ChordIters++
-				chordIters++
-				if nrm > e.opts.ChordContraction*prevNorm {
-					// Stalling: keep this update but rebuild next iteration.
-					e.chordReady = false
-				}
-			}
+		if err := e.factorize(alpha); err != nil {
+			return fmt.Errorf("transient: Jacobian factorization failed: %w", err)
 		}
-		if full {
-			sparse.Combine(e.j, alpha, e.ev.C, e.mapC, 1, e.ev.G, e.mapG)
-			if err := e.factorSolve(); err != nil {
-				return fmt.Errorf("transient: Jacobian factorization failed: %w", err)
-			}
-			e.chordReady = chord
-			e.chordAlpha = alpha
-			e.drift = 0
-		}
+		e.solveNewton()
 		e.stats.NewtonIters++
 		iters++
 		conv := true
-		nrm := 0.0
 		for i := 0; i < n; i++ {
 			if !num.IsFinite(e.dx[i]) {
 				return ErrNewtonFailure
 			}
 			e.x[i] -= e.dx[i]
-			ad := math.Abs(e.dx[i])
-			if ad > nrm {
-				nrm = ad
-			}
 			atol := e.opts.VTol
 			if i >= numNodes {
 				atol = e.opts.ITol
 			}
-			if ad > atol+e.opts.RelTol*math.Abs(e.x[i]) {
+			if math.Abs(e.dx[i]) > atol+e.opts.RelTol*math.Abs(e.x[i]) {
 				conv = false
 			}
 		}
-		prevNorm = nrm
-		e.drift += nrm
 		if conv {
 			converged = true
 			break
@@ -713,28 +551,14 @@ func (e *Engine) step(t0, t1 float64) error {
 	}
 	if e.hist {
 		e.newtonHist.Observe(iters, 1)
-		if chordIters > 0 {
-			e.chordHist.Observe(chordIters, 1)
-		}
 	}
 
 	if e.opts.Skews {
 		// The sensitivity solves back-substitute against a factorization of
-		// α·C + G at the converged state. Build it — unless the fast path is
-		// on and the iterate barely drifted since the standing factorization
-		// was assembled, in which case reusing it perturbs the sensitivities
-		// by O(drift) only.
-		if chord && e.drift <= e.opts.SensReuseTol && sameAlpha(alpha, e.chordAlpha) {
-			e.stats.JacobianReuses++
-		} else {
-			e.evalAt(t1)
-			sparse.Combine(e.j, alpha, e.ev.C, e.mapC, 1, e.ev.G, e.mapG)
-			if err := e.factorize(); err != nil {
-				return fmt.Errorf("transient: converged-state factorization failed: %w", err)
-			}
-			e.chordReady = chord
-			e.chordAlpha = alpha
-			e.drift = 0
+		// α·C + G at the converged state.
+		e.evalAt(t1)
+		if err := e.factorize(alpha); err != nil {
+			return fmt.Errorf("transient: converged-state factorization failed: %w", err)
 		}
 
 		e.zeroZ()
@@ -782,13 +606,13 @@ func (e *Engine) sensBE(alpha float64) {
 		e.rhsS[i] = -e.zsVec[i]
 	}
 	e.cPrev.MulVecAdd(alpha, e.ms, e.rhsS)
-	e.lu.Solve(e.rhsS, e.ms)
+	e.lu.SolveInto(e.rhsS, e.ms)
 
 	for i := 0; i < n; i++ {
 		e.rhsS[i] = -e.zhVec[i]
 	}
 	e.cPrev.MulVecAdd(alpha, e.mh, e.rhsS)
-	e.lu.Solve(e.rhsS, e.mh)
+	e.lu.SolveInto(e.rhsS, e.mh)
 	e.stats.SensSolves += 2
 }
 
@@ -807,7 +631,7 @@ func (e *Engine) sensTrapOne(alpha float64, m, mdot, z []float64) {
 	for i := 0; i < n; i++ {
 		e.rhsS[i] = alpha*e.scrA[i] + mdot[i] - z[i]
 	}
-	e.lu.Solve(e.rhsS, m)
+	e.lu.SolveInto(e.rhsS, m)
 	e.ev.C.MulVec(m, e.scrB) // C_new·m_new
 	for i := 0; i < n; i++ {
 		mdot[i] = alpha*(e.scrB[i]-e.scrA[i]) - mdot[i]

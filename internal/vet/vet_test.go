@@ -248,32 +248,6 @@ func TestSimWindow(t *testing.T) {
 	wantClean(t, runCheck(t, inst, "sim-window", vet.Spec{}))
 }
 
-func TestChordConfig(t *testing.T) {
-	inst := buildInstance(t, baseDeck)
-	// Chord with no Newton iteration headroom for the fallback.
-	rep := runCheck(t, inst, "chord-config", vet.Spec{
-		Eval: stf.Config{Chord: true, MaxNewtonIter: 4},
-	})
-	wantDiag(t, rep, vet.Warning, "maxnewtoniter")
-
-	// Contraction threshold that is no contraction at all.
-	rep = runCheck(t, inst, "chord-config", vet.Spec{
-		Eval: stf.Config{Chord: true, ChordContraction: 1.5},
-	})
-	wantDiag(t, rep, vet.Error, "chordcontraction")
-
-	// Threshold so close to 1 the stall detector barely fires.
-	rep = runCheck(t, inst, "chord-config", vet.Spec{
-		Eval: stf.Config{Chord: true, ChordContraction: 0.95},
-	})
-	wantDiag(t, rep, vet.Warning, "chordcontraction")
-
-	// Chord with defaults is clean; so is everything with chord off, even a
-	// nonsensical threshold (the knob is inert then).
-	wantClean(t, runCheck(t, inst, "chord-config", vet.Spec{Eval: stf.Config{Chord: true}}))
-	wantClean(t, runCheck(t, inst, "chord-config", vet.Spec{Eval: stf.Config{ChordContraction: 1.5}}))
-}
-
 func TestSupplyRail(t *testing.T) {
 	// Clock swinging above the 2.5 V rail.
 	hot := strings.Replace(baseDeck, "CLOCK(0 2.5", "CLOCK(0 5", 1)
@@ -324,7 +298,6 @@ func TestDefaultRegistrySize(t *testing.T) {
 		"floating-node", "no-ground-path", "single-terminal",
 		"clock-window", "event-order", "output-node",
 		"value-sanity", "mpnr-config", "sim-window", "supply-rail",
-		"chord-config",
 	} {
 		if !names[required] {
 			t.Errorf("missing analyzer %q", required)

@@ -507,13 +507,11 @@ func CompareContours(en *Contour, ref []Polyline) (max, mean float64, err error)
 	return surface.Deviation(en.SetupHoldPairs(), ref)
 }
 
-// DefaultFastPath returns the canonical fast-path evaluator configuration:
-// chord-Newton iteration with Jacobian reuse plus latency-aware device
-// bypass, the PR 5 accuracy-gated speedups. It is the single home for what
-// "fast" means — the -fast CLI flags and the HTTP "fast_path" field both
-// resolve to exactly this. Callers tune other fields on the returned config
-// as usual.
-func DefaultFastPath() EvalConfig { return EvalConfig{}.WithFastPath() }
+// DefaultFastPath returns the zero EvalConfig, the exact evaluator every
+// characterization uses. The chord/bypass fast path it once selected was
+// removed once the dense LU made exact Newton as fast (DESIGN §10); the
+// function is kept for callers outside this module.
+func DefaultFastPath() EvalConfig { return EvalConfig{} }
 
 // NewEvaluator builds a state-transition evaluator for a fresh instance of
 // the cell.

@@ -1,0 +1,6 @@
+//go:build !race
+
+package latchchar
+
+// raceEnabled reports a -race build; see TestCharacterizeBitwiseDeterministic.
+const raceEnabled = false

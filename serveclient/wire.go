@@ -71,7 +71,10 @@ type OptionsRequest struct {
 	MaxSetupSkewPS float64 `json:"max_setup_skew_ps,omitempty"`
 	// Method selects the integration scheme: "be" (default) or "trap".
 	Method string `json:"method,omitempty"`
-	// FastPath enables the chord/bypass Newton fast path (DESIGN §10).
+	// FastPath is accepted for compatibility and has no effect: the
+	// chord/bypass fast path it once selected was removed, and every
+	// characterization runs the exact evaluator (DESIGN §10). Requests that
+	// differ only in FastPath coalesce onto the same job.
 	FastPath bool `json:"fast_path,omitempty"`
 	// Block is the tracer's predictor lookahead width: a value > 1 corrects
 	// a bundle of Block predicted points as one block-transient
@@ -218,9 +221,6 @@ type StatsJSON struct {
 	NewtonIters      int     `json:"newton_iters"`
 	Factorizations   int     `json:"factorizations"`
 	SensSolves       int     `json:"sens_solves"`
-	ChordIters       int     `json:"chord_iters,omitempty"`
-	JacobianReuses   int     `json:"jacobian_reuses,omitempty"`
-	DeviceBypasses   int     `json:"device_bypasses,omitempty"`
 	BlockSharedSteps int     `json:"block_shared_steps,omitempty"`
 	BlockPeelOffs    int     `json:"block_peel_offs,omitempty"`
 	WallMS           float64 `json:"wall_ms"`
