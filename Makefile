@@ -10,7 +10,7 @@ BENCHOUT ?= BENCH_core.json
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: all build test race vet fmt lint latchlint vulncheck charvet tracesmoke batchsmoke servesmoke clustersmoke benchserve bench benchsmoke mcsmoke ci clean
+.PHONY: all build test race vet fmt lint latchlint vulncheck charvet tracesmoke batchsmoke servesmoke clustersmoke benchserve bench benchsmoke benchcheck mcsmoke ci clean
 
 all: build
 
@@ -113,9 +113,11 @@ benchserve:
 # only diffs like-for-like; the mode=exact vs mode=block8 sub-benchmarks of
 # BenchmarkEulerNewton*, BenchmarkSurfaceTSPC and BenchmarkMonteCarloTSPC
 # carry the block-transient regression numbers. Use BENCHTIME=2s for stable
-# wall-clock comparisons.
+# wall-clock comparisons. -cpu 1 pins GOMAXPROCS so benchmark names carry no
+# -N suffix: a baseline recorded on one machine then matches a smoke run on
+# another with a different CPU count (every benchmark here is p=1 anyway).
 bench:
-	$(GO) test -run '^$$' -bench . -benchtime $(BENCHTIME) \
+	$(GO) test -run '^$$' -bench . -benchtime $(BENCHTIME) -cpu 1 \
 		. ./internal/transient ./internal/linalg | tee bench.out.txt
 	$(GO) run ./cmd/benchjson -o $(BENCHOUT) bench.out.txt
 	@rm -f bench.out.txt
@@ -140,6 +142,14 @@ benchsmoke:
 	$(GO) run ./cmd/benchjson -compare -warn-match 'MonteCarlo' -min-ns 5e7 \
 		-tolerance 50 BENCH_core.json $(SMOKE_BENCHOUT)
 
+# benchcheck runs the benchmark module's own tests (offline, about 17 s).
+# latchbench is a separate module, so `go test ./...` at the root never
+# builds it; its smoke tests run every workload at reduced size and check
+# the contours against latchbench/reference.json, so a solver change that
+# moves a contour past the 0.05 ps reference tolerance fails here.
+benchcheck:
+	cd latchbench && $(GO) test ./...
+
 # mcsmoke runs a reduced variance-aware Monte-Carlo characterization through
 # the CLI — quasi-MC sampling, nominal-contour warm starts, sigma-band CSV —
 # with event tracing on, and validates the trace stream with tracecheck.
@@ -149,7 +159,7 @@ mcsmoke:
 		-trace /tmp/latchchar-mc-trace.jsonl -o /dev/null
 	$(GO) run ./cmd/tracecheck /tmp/latchchar-mc-trace.jsonl
 
-ci: build lint vulncheck race tracesmoke batchsmoke servesmoke clustersmoke mcsmoke benchsmoke
+ci: build lint vulncheck race tracesmoke batchsmoke servesmoke clustersmoke mcsmoke benchsmoke benchcheck
 
 clean:
 	$(GO) clean ./...

@@ -1,22 +1,29 @@
-// Package circuit implements modified nodal analysis (MNA) assembly for the
-// simulator. A Circuit owns the unknown numbering (node voltages followed by
-// branch currents), the fixed sparsity patterns of the conductance Jacobian
-// G = ∂f/∂x and the charge Jacobian C = ∂q/∂x, and evaluates the vectors and
-// matrices of the circuit equation
+// Package circuit implements modified nodal analysis (MNA) assembly and the
+// Newton linear solve for the simulator. A Circuit owns the unknown
+// numbering (node voltages followed by branch currents), the conductance
+// Jacobian G = ∂f/∂x and the charge Jacobian C = ∂q/∂x, and evaluates the
+// vectors and matrices of the circuit equation
 //
 //	d/dt q(x) + f(x) + src(t) = 0
 //
 // where src(t) collects all independent-source contributions, split per the
 // paper into clock-like terms bc·uc(t) and the data term bd·ud(t, τs, τh).
 //
-// Devices register their matrix entries once (Setup) and then stamp values
-// through integer slots on every evaluation, so no pattern work happens in
-// the inner Newton loop.
+// Each Jacobian is the sum of a constant part and a state-dependent part.
+// Devices register their constant entries, with values, once in Setup
+// (resistors, linear capacitors, constant MOSFET capacitances, source
+// incidence; Finalize adds Gmin), so the linear parts of q and f come from
+// one sparse product each. Only the state-dependent entries (MOSFET I–V,
+// nonlinear gate capacitance) are stamped on every evaluation, through
+// integer slots acquired in Setup. A Jacobian (jacobian.go) assembles
+// α·C + G from both parts and factors only the unknowns that grounded
+// ideal sources do not already fix.
 package circuit
 
 import (
 	"fmt"
 
+	"latchchar/internal/linalg"
 	"latchchar/internal/sparse"
 )
 
@@ -27,7 +34,7 @@ type UnknownID int
 // Ground is the reference node; stamps against it are dropped.
 const Ground UnknownID = -1
 
-// Slot addresses one stored matrix entry for fast value stamping.
+// Slot addresses one state-dependent matrix entry for fast value stamping.
 // The zero Slot is invalid; devices must use the Slot returned by SetupCtx.
 type Slot int
 
@@ -35,16 +42,18 @@ type Slot int
 const noSlot Slot = -1
 
 // Device is a circuit element. Setup is called exactly once when the
-// circuit is finalized; Eval is called for every residual/Jacobian
-// evaluation and must only stamp values through the handles acquired in
-// Setup.
+// circuit is finalized and registers the device's constant stamps with
+// their values; Eval is called for every residual/Jacobian evaluation and
+// stamps only the state- and time-dependent values, through the handles
+// acquired in Setup.
 type Device interface {
 	// Name returns the instance name, used in diagnostics.
 	Name() string
-	// Setup registers matrix pattern entries and any extra branch unknowns.
+	// Setup registers constant stamps, state-dependent pattern entries and
+	// any extra branch unknowns.
 	Setup(ctx *SetupCtx) error
-	// Eval stamps q, f, src values and C, G matrix values for the state and
-	// time in ctx.
+	// Eval stamps the state-dependent q, f and C, G values and the src
+	// values for the state and time in ctx.
 	Eval(ctx *EvalCtx)
 }
 
@@ -75,15 +84,29 @@ type Circuit struct {
 	Gmin float64
 
 	finalized bool
-	gEntries  []patEntry // provisional G entries in setup order
+	gEntries  []patEntry // state-dependent G entries in setup order
 	cEntries  []patEntry
-	gSlotMap  []int // provisional slot -> CSR value index
+	gConsts   []constEntry // constant G entries with values, setup order
+	cConsts   []constEntry
+	gSlotMap  []int // slot -> CSR value index
 	cSlotMap  []int
-	gPat      *sparse.CSR // pattern with zero values (template)
+	gPat      *sparse.CSR // state-dependent patterns with zero values (template)
 	cPat      *sparse.CSR
+	constG    *sparse.CSR // constant stamps with their values
+	constC    *sparse.CSR
+
+	// pins are the grounded ideal sources condensed out of every Newton
+	// system; free lists the remaining unknowns, the ones factored.
+	pins []pin
+	free []int
 }
 
 type patEntry struct{ i, j UnknownID }
+
+type constEntry struct {
+	i, j UnknownID
+	v    float64
+}
 
 // New returns an empty circuit.
 func New() *Circuit {
@@ -163,10 +186,10 @@ func (c *Circuit) N() int { return len(c.nodeNames) + c.numBranches }
 // dozen or so unknowns.
 const MaxUnknowns = 1024
 
-// Finalize runs device Setup, assigns branch unknowns and freezes the
-// sparsity patterns. It must be called exactly once, after which Eval
-// contexts can be created. Circuits with more than MaxUnknowns unknowns are
-// rejected.
+// Finalize runs device Setup, assigns branch unknowns, freezes the stamp
+// patterns and condenses the grounded ideal sources (see Jacobian). It must
+// be called exactly once, after which Eval contexts can be created.
+// Circuits with more than MaxUnknowns unknowns are rejected.
 func (c *Circuit) Finalize() error {
 	if c.finalized {
 		return fmt.Errorf("circuit: already finalized")
@@ -184,46 +207,55 @@ func (c *Circuit) Finalize() error {
 		return fmt.Errorf("circuit: %d unknowns exceed the limit of %d (the solvers factor a dense %d×%d Jacobian)",
 			n, MaxUnknowns, n, n)
 	}
+	// Gmin diagonal entries for every node row keep G nonsingular at DC.
+	for i := range c.nodeNames {
+		setup.ConstG(UnknownID(i), UnknownID(i), c.Gmin)
+	}
 	c.finalized = true
 
 	n := c.N()
-	// Gmin diagonal entries for every node row keep G nonsingular at DC.
-	for i := 0; i < len(c.nodeNames); i++ {
-		c.gEntries = append(c.gEntries, patEntry{UnknownID(i), UnknownID(i)})
-	}
-	build := func(entries []patEntry) (*sparse.CSR, []int) {
-		b := sparse.NewBuilder(n)
-		for _, e := range entries {
-			if e.i == Ground || e.j == Ground {
-				continue
-			}
-			b.Add(int(e.i), int(e.j), 0)
-		}
-		pat := b.Build()
-		slots := make([]int, len(entries))
-		for k, e := range entries {
-			if e.i == Ground || e.j == Ground {
-				slots[k] = -1
-				continue
-			}
-			idx, ok := pat.Index(int(e.i), int(e.j))
-			if !ok {
-				panic("circuit: pattern entry vanished")
-			}
-			slots[k] = idx
-		}
-		return pat, slots
-	}
-	c.gPat, c.gSlotMap = build(c.gEntries)
-	c.cPat, c.cSlotMap = build(c.cEntries)
+	c.gPat, c.gSlotMap = buildPattern(n, c.gEntries)
+	c.cPat, c.cSlotMap = buildPattern(n, c.cEntries)
+	c.constG = buildConst(n, c.gConsts)
+	c.constC = buildConst(n, c.cConsts)
+	c.condense()
 	return nil
+}
+
+// buildPattern returns the zero-valued CSR pattern of entries and the map
+// from each entry's slot to its CSR value index.
+func buildPattern(n int, entries []patEntry) (*sparse.CSR, []int) {
+	b := sparse.NewBuilder(n)
+	for _, e := range entries {
+		b.Add(int(e.i), int(e.j), 0)
+	}
+	pat := b.Build()
+	slots := make([]int, len(entries))
+	for k, e := range entries {
+		idx, ok := pat.Index(int(e.i), int(e.j))
+		if !ok {
+			panic("circuit: pattern entry vanished")
+		}
+		slots[k] = idx
+	}
+	return pat, slots
+}
+
+// buildConst returns the CSR sum of constant entries, duplicates added in
+// setup order.
+func buildConst(n int, entries []constEntry) *sparse.CSR {
+	b := sparse.NewBuilder(n)
+	for _, e := range entries {
+		b.Add(int(e.i), int(e.j), e.v)
+	}
+	return b.Build()
 }
 
 // Finalized reports whether Finalize has run.
 func (c *Circuit) Finalized() bool { return c.finalized }
 
-// SetupCtx is passed to Device.Setup for registering unknowns and pattern
-// entries.
+// SetupCtx is passed to Device.Setup for registering unknowns, constant
+// stamps and state-dependent pattern entries.
 type SetupCtx struct {
 	c *Circuit
 }
@@ -237,9 +269,27 @@ func (s *SetupCtx) Branch(name string) UnknownID {
 	return id
 }
 
-// G registers a conductance-Jacobian pattern entry (i, j) and returns its
-// stamping slot. Entries touching ground return a slot whose stamps are
-// dropped.
+// ConstG adds the constant v to conductance-Jacobian entry (i, j); the
+// matching current G(i, j)·x_j enters f on every evaluation without a
+// device stamp. Entries touching ground are dropped.
+func (s *SetupCtx) ConstG(i, j UnknownID, v float64) {
+	if i != Ground && j != Ground {
+		s.c.gConsts = append(s.c.gConsts, constEntry{i, j, v})
+	}
+}
+
+// ConstC adds the constant v to charge-Jacobian entry (i, j); the matching
+// charge C(i, j)·x_j enters q on every evaluation without a device stamp.
+// Entries touching ground are dropped.
+func (s *SetupCtx) ConstC(i, j UnknownID, v float64) {
+	if i != Ground && j != Ground {
+		s.c.cConsts = append(s.c.cConsts, constEntry{i, j, v})
+	}
+}
+
+// G registers a state-dependent conductance-Jacobian entry (i, j) and
+// returns its stamping slot. Entries touching ground return a slot whose
+// stamps are dropped.
 func (s *SetupCtx) G(i, j UnknownID) Slot {
 	if i == Ground || j == Ground {
 		return noSlot
@@ -248,7 +298,8 @@ func (s *SetupCtx) G(i, j UnknownID) Slot {
 	return Slot(len(s.c.gEntries) - 1)
 }
 
-// C registers a charge-Jacobian pattern entry (i, j) and returns its slot.
+// C registers a state-dependent charge-Jacobian entry (i, j) and returns
+// its slot.
 func (s *SetupCtx) C(i, j UnknownID) Slot {
 	if i == Ground || j == Ground {
 		return noSlot
@@ -270,8 +321,9 @@ type Eval struct {
 	// Q, F, Src are the assembled vectors: charges, static currents and
 	// independent-source contributions at the last At call.
 	Q, F, Src []float64
-	// C and G are the assembled Jacobians ∂q/∂x and ∂f/∂x.
-	C, G *sparse.CSR
+	// cDyn and gDyn hold the state-dependent Jacobian entries of the last
+	// At call; the full Jacobians add the circuit's constant stamps.
+	cDyn, gDyn *sparse.CSR
 
 	ctx EvalCtx
 }
@@ -283,42 +335,54 @@ func (c *Circuit) NewEval() *Eval {
 	}
 	n := c.N()
 	ev := &Eval{
-		c:   c,
-		Q:   make([]float64, n),
-		F:   make([]float64, n),
-		Src: make([]float64, n),
-		C:   c.cPat.Clone(),
-		G:   c.gPat.Clone(),
+		c:    c,
+		Q:    make([]float64, n),
+		F:    make([]float64, n),
+		Src:  make([]float64, n),
+		cDyn: c.cPat.Clone(),
+		gDyn: c.gPat.Clone(),
 	}
 	ev.ctx.ev = ev
 	return ev
 }
 
-// At assembles q, f, src, C and G for state x at time t.
+// At assembles q, f, src and the Jacobian stamps for state x at time t:
+// the constant stamps contribute C_const·x to q and G_const·x to f, then
+// every device stamps its state-dependent values and its sources.
 func (ev *Eval) At(x []float64, t float64) {
 	if len(x) != ev.c.N() {
 		panic("circuit: Eval.At state length mismatch")
 	}
-	for i := range ev.Q {
-		ev.Q[i] = 0
-		ev.F[i] = 0
-		ev.Src[i] = 0
-	}
-	ev.C.ZeroVals()
-	ev.G.ZeroVals()
+	ev.c.constC.MulVec(x, ev.Q)
+	ev.c.constG.MulVec(x, ev.F)
+	clear(ev.Src)
+	ev.cDyn.ZeroVals()
+	ev.gDyn.ZeroVals()
 	ev.ctx.X = x
 	ev.ctx.T = t
 	for _, d := range ev.c.devices {
 		d.Eval(&ev.ctx)
 	}
-	// Gmin stamps: conductance to ground on every node.
-	gmin := ev.c.Gmin
-	numNodes := len(ev.c.nodeNames)
-	base := len(ev.c.gEntries) - numNodes
-	for i := 0; i < numNodes; i++ {
-		ev.F[i] += gmin * x[i]
-		ev.G.Val[ev.c.gSlotMap[base+i]] += gmin
-	}
+}
+
+// MulC computes y = C·x for the charge Jacobian C of the last At call.
+// x and y must have length N and must not alias.
+func (ev *Eval) MulC(x, y []float64) {
+	ev.c.constC.MulVec(x, y)
+	ev.cDyn.MulVecAdd(1, x, y)
+}
+
+// Jacobians returns fresh dense copies of the full charge and conductance
+// Jacobians (constant plus state-dependent stamps) of the last At call,
+// for tests and diagnostics; the solvers never materialize them.
+func (ev *Eval) Jacobians() (c, g *linalg.Matrix) {
+	n := ev.c.N()
+	c, g = linalg.NewMatrix(n, n), linalg.NewMatrix(n, n)
+	ev.c.constC.ScatterAdd(1, c)
+	ev.cDyn.ScatterAdd(1, c)
+	ev.c.constG.ScatterAdd(1, g)
+	ev.gDyn.ScatterAdd(1, g)
+	return c, g
 }
 
 // AddSkewSens accumulates the data-source sensitivity right-hand sides
@@ -371,20 +435,14 @@ func (e *EvalCtx) AddSrc(id UnknownID, v float64) {
 
 // AddG accumulates into the conductance Jacobian through a Setup slot.
 func (e *EvalCtx) AddG(s Slot, v float64) {
-	if s == noSlot {
-		return
-	}
-	if idx := e.ev.c.gSlotMap[s]; idx >= 0 {
-		e.ev.G.Val[idx] += v
+	if s != noSlot {
+		e.ev.gDyn.Val[e.ev.c.gSlotMap[s]] += v
 	}
 }
 
 // AddC accumulates into the charge Jacobian through a Setup slot.
 func (e *EvalCtx) AddC(s Slot, v float64) {
-	if s == noSlot {
-		return
-	}
-	if idx := e.ev.c.cSlotMap[s]; idx >= 0 {
-		e.ev.C.Val[idx] += v
+	if s != noSlot {
+		e.ev.cDyn.Val[e.ev.c.cSlotMap[s]] += v
 	}
 }

@@ -126,10 +126,11 @@ func TestEvalAssembleAndGmin(t *testing.T) {
 	if ev.F[0] != want {
 		t.Errorf("F[a] = %v, want %v", ev.F[0], want)
 	}
-	if g := ev.G.At(0, 0); g != 2e-3+1e-9 {
+	_, gm := ev.Jacobians()
+	if g := gm.At(0, 0); g != 2e-3+1e-9 {
 		t.Errorf("G(a,a) = %v", g)
 	}
-	if g := ev.G.At(0, 1); g != -2e-3 {
+	if g := gm.At(0, 1); g != -2e-3 {
 		t.Errorf("G(a,b) = %v", g)
 	}
 	// Re-evaluation must not accumulate.
@@ -148,8 +149,8 @@ func TestEvalGroundStampsDropped(t *testing.T) {
 	}
 	ev := c.NewEval()
 	ev.At([]float64{3}, 0)
-	if ev.G.NNZ() != 1 {
-		t.Errorf("expected only the (a,a) entry, NNZ = %d", ev.G.NNZ())
+	if _, gm := ev.Jacobians(); gm.Rows != 1 || gm.At(0, 0) != 1e-3+c.Gmin {
+		t.Errorf("expected only the (a,a) entry, G = %v", gm)
 	}
 	if ev.F[0] != 3e-3+3*c.Gmin {
 		t.Errorf("F[a] = %v", ev.F[0])

@@ -167,6 +167,7 @@ func stampConsistency(t *testing.T, name string, build func(c *circuit.Circuit) 
 		}
 		tt := rng.Float64() * 1e-9
 		ev.At(x, tt)
+		cm, gm := ev.Jacobians()
 		for j := 0; j < n; j++ {
 			xp := append([]float64(nil), x...)
 			xp[j] += h
@@ -178,12 +179,12 @@ func stampConsistency(t *testing.T, name string, build func(c *circuit.Circuit) 
 			evFD.At(xm, tt)
 			for i := 0; i < n; i++ {
 				gfd := (fp[i] - evFD.F[i]) / (2 * h)
-				if !num.ApproxEqual(gfd, ev.G.At(i, j), 2e-3, 1e-7) {
-					t.Errorf("%s trial %d: G(%d,%d) fd=%v stamped=%v", name, trial, i, j, gfd, ev.G.At(i, j))
+				if !num.ApproxEqual(gfd, gm.At(i, j), 2e-3, 1e-7) {
+					t.Errorf("%s trial %d: G(%d,%d) fd=%v stamped=%v", name, trial, i, j, gfd, gm.At(i, j))
 				}
 				cfd := (qp[i] - evFD.Q[i]) / (2 * h)
-				if !num.ApproxEqual(cfd, ev.C.At(i, j), 2e-3, 1e-16) {
-					t.Errorf("%s trial %d: C(%d,%d) fd=%v stamped=%v", name, trial, i, j, cfd, ev.C.At(i, j))
+				if !num.ApproxEqual(cfd, cm.At(i, j), 2e-3, 1e-16) {
+					t.Errorf("%s trial %d: C(%d,%d) fd=%v stamped=%v", name, trial, i, j, cfd, cm.At(i, j))
 				}
 			}
 		}

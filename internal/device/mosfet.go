@@ -81,36 +81,17 @@ type MOSFET struct {
 	// W, L are the channel width and length (m).
 	W, L float64
 
-	gSlots [9]circuit.Slot // rows {D,S} × cols {G,D,S}; plus unused padding
-	cgs    *capStamp
-	cgd    *capStamp
-	cdb    *capStamp
-	csb    *capStamp
-	nlgs   *nlGateStamp
-	nlgd   *nlGateStamp
+	gSlots [6]circuit.Slot // rows {D,S} × cols {G,D,S}
+	// caps are the constant capacitances, registered as constant stamps in
+	// Setup: the gate caps (unless NLGate) and the junction caps.
+	caps []capStamp
+	nlgs *nlGateStamp
+	nlgd *nlGateStamp
 }
 
 type capStamp struct {
-	p, n  circuit.UnknownID
-	c     float64
-	slots [4]circuit.Slot
-}
-
-func (cs *capStamp) setup(ctx *circuit.SetupCtx) {
-	cs.slots[0] = ctx.C(cs.p, cs.p)
-	cs.slots[1] = ctx.C(cs.p, cs.n)
-	cs.slots[2] = ctx.C(cs.n, cs.p)
-	cs.slots[3] = ctx.C(cs.n, cs.n)
-}
-
-func (cs *capStamp) eval(ctx *circuit.EvalCtx) {
-	q := cs.c * (ctx.V(cs.p) - ctx.V(cs.n))
-	ctx.AddQ(cs.p, q)
-	ctx.AddQ(cs.n, -q)
-	ctx.AddC(cs.slots[0], cs.c)
-	ctx.AddC(cs.slots[1], -cs.c)
-	ctx.AddC(cs.slots[2], -cs.c)
-	ctx.AddC(cs.slots[3], cs.c)
+	p, n circuit.UnknownID
+	c    float64
 }
 
 // NewMOSFET constructs a MOSFET instance. b is the bulk node (typically
@@ -142,12 +123,10 @@ func NewMOSFET(name string, d, g, s, b circuit.UnknownID, model MOSModel, w, l f
 		m.nlgd = &nlGateStamp{g: g, t: d, cov: 0.1 * cox, cch: 0.4 * cox, vt: model.VT0, dlt: delta, sgn: sgn}
 	} else {
 		cgate := model.Cox * w * l / 2
-		m.cgs = &capStamp{p: g, n: s, c: cgate}
-		m.cgd = &capStamp{p: g, n: d, c: cgate}
+		m.caps = append(m.caps, capStamp{p: g, n: s, c: cgate}, capStamp{p: g, n: d, c: cgate})
 	}
 	if cj > 0 {
-		m.cdb = &capStamp{p: d, n: b, c: cj}
-		m.csb = &capStamp{p: s, n: b, c: cj}
+		m.caps = append(m.caps, capStamp{p: d, n: b, c: cj}, capStamp{p: s, n: b, c: cj})
 	}
 	return m, nil
 }
@@ -166,13 +145,9 @@ func (m *MOSFET) Setup(ctx *circuit.SetupCtx) error {
 	if m.nlgs != nil {
 		m.nlgs.setup(ctx)
 		m.nlgd.setup(ctx)
-	} else {
-		m.cgs.setup(ctx)
-		m.cgd.setup(ctx)
 	}
-	if m.cdb != nil {
-		m.cdb.setup(ctx)
-		m.csb.setup(ctx)
+	for _, cs := range m.caps {
+		stampPair(ctx.ConstC, cs.p, cs.n, cs.c)
 	}
 	return nil
 }
@@ -241,13 +216,6 @@ func (m *MOSFET) Eval(ctx *circuit.EvalCtx) {
 	if m.nlgs != nil {
 		m.nlgs.eval(ctx)
 		m.nlgd.eval(ctx)
-	} else {
-		m.cgs.eval(ctx)
-		m.cgd.eval(ctx)
-	}
-	if m.cdb != nil {
-		m.cdb.eval(ctx)
-		m.csb.eval(ctx)
 	}
 }
 

@@ -92,13 +92,15 @@ func TestNLGateCapacitanceRegions(t *testing.T) {
 	cox := m.Model.Cox * m.W * m.L
 	// Cutoff: vg = 0, vs = 0 → C(g,g) ≈ 2 overlaps (gs + gd).
 	ev.At([]float64{0, 0, 0}, 0)
-	cCut := ev.C.At(1, 1) // node g has index 1
+	cm, _ := ev.Jacobians()
+	cCut := cm.At(1, 1) // node g has index 1
 	if !num.WithinRel(cCut, 2*0.1*cox, 1e-9) {
 		t.Errorf("cutoff C(g,g) = %v, want %v", cCut, 2*0.1*cox)
 	}
 	// Strong inversion: vg = 2.5 with d, s at 0.
 	ev.At([]float64{0, 2.5, 0}, 0)
-	cInv := ev.C.At(1, 1)
+	cm, _ = ev.Jacobians()
+	cInv := cm.At(1, 1)
 	want := 2 * (0.1 + 0.4) * cox
 	if !num.WithinRel(cInv, want, 1e-9) {
 		t.Errorf("inversion C(g,g) = %v, want %v", cInv, want)

@@ -2,8 +2,9 @@
 // linear resistors and capacitors, independent voltage sources driven by
 // waveforms (including the skew-parametric data source), and a
 // Shichman-Hodges (SPICE level-1) MOSFET with constant intrinsic
-// capacitances. Each device stamps the MNA system through the slot handles
-// it acquires in Setup.
+// capacitances. Linear elements register their whole stamp once in Setup;
+// per evaluation a device stamps only what depends on the state or time,
+// through the slot handles it acquires in Setup.
 package device
 
 import (
@@ -14,10 +15,9 @@ import (
 
 // Resistor is a linear two-terminal resistor.
 type Resistor struct {
-	Inst   string
-	P, N   circuit.UnknownID
-	Ohms   float64
-	gSlots [4]circuit.Slot
+	Inst string
+	P, N circuit.UnknownID
+	Ohms float64
 }
 
 // NewResistor returns a resistor between p and n.
@@ -31,25 +31,22 @@ func NewResistor(name string, p, n circuit.UnknownID, ohms float64) (*Resistor, 
 // Name implements circuit.Device.
 func (r *Resistor) Name() string { return r.Inst }
 
-// Setup implements circuit.Device.
+// Setup implements circuit.Device: the conductance 1/R is a constant
+// stamp, and with it the resistor current.
 func (r *Resistor) Setup(ctx *circuit.SetupCtx) error {
-	r.gSlots[0] = ctx.G(r.P, r.P)
-	r.gSlots[1] = ctx.G(r.P, r.N)
-	r.gSlots[2] = ctx.G(r.N, r.P)
-	r.gSlots[3] = ctx.G(r.N, r.N)
+	stampPair(ctx.ConstG, r.P, r.N, 1/r.Ohms)
 	return nil
 }
 
-// Eval implements circuit.Device.
-func (r *Resistor) Eval(ctx *circuit.EvalCtx) {
-	g := 1 / r.Ohms
-	i := g * (ctx.V(r.P) - ctx.V(r.N))
-	ctx.AddF(r.P, i)
-	ctx.AddF(r.N, -i)
-	ctx.AddG(r.gSlots[0], g)
-	ctx.AddG(r.gSlots[1], -g)
-	ctx.AddG(r.gSlots[2], -g)
-	ctx.AddG(r.gSlots[3], g)
+// Eval implements circuit.Device; a resistor has no state-dependent stamp.
+func (r *Resistor) Eval(*circuit.EvalCtx) {}
+
+// stampPair adds the two-terminal element stamp v·[1 −1; −1 1] on (p, n).
+func stampPair(add func(i, j circuit.UnknownID, v float64), p, n circuit.UnknownID, v float64) {
+	add(p, p, v)
+	add(p, n, -v)
+	add(n, p, -v)
+	add(n, n, v)
 }
 
 // Capacitor is a linear two-terminal capacitor.
@@ -57,7 +54,6 @@ type Capacitor struct {
 	Inst   string
 	P, N   circuit.UnknownID
 	Farads float64
-	cSlots [4]circuit.Slot
 }
 
 // NewCapacitor returns a capacitor between p and n.
@@ -71,25 +67,15 @@ func NewCapacitor(name string, p, n circuit.UnknownID, farads float64) (*Capacit
 // Name implements circuit.Device.
 func (c *Capacitor) Name() string { return c.Inst }
 
-// Setup implements circuit.Device.
+// Setup implements circuit.Device: the capacitance is a constant stamp,
+// and with it the capacitor charge.
 func (c *Capacitor) Setup(ctx *circuit.SetupCtx) error {
-	c.cSlots[0] = ctx.C(c.P, c.P)
-	c.cSlots[1] = ctx.C(c.P, c.N)
-	c.cSlots[2] = ctx.C(c.N, c.P)
-	c.cSlots[3] = ctx.C(c.N, c.N)
+	stampPair(ctx.ConstC, c.P, c.N, c.Farads)
 	return nil
 }
 
-// Eval implements circuit.Device.
-func (c *Capacitor) Eval(ctx *circuit.EvalCtx) {
-	q := c.Farads * (ctx.V(c.P) - ctx.V(c.N))
-	ctx.AddQ(c.P, q)
-	ctx.AddQ(c.N, -q)
-	ctx.AddC(c.cSlots[0], c.Farads)
-	ctx.AddC(c.cSlots[1], -c.Farads)
-	ctx.AddC(c.cSlots[2], -c.Farads)
-	ctx.AddC(c.cSlots[3], c.Farads)
-}
+// Eval implements circuit.Device; a capacitor has no state-dependent stamp.
+func (c *Capacitor) Eval(*circuit.EvalCtx) {}
 
 // ConductivePairs implements circuit.ConductiveDevice.
 func (r *Resistor) ConductivePairs() [][2]circuit.UnknownID {

@@ -55,7 +55,6 @@ type VSource struct {
 	Role SourceRole
 
 	branch circuit.UnknownID
-	slots  [4]circuit.Slot
 }
 
 // NewVSource creates a voltage source driven by w. For RoleData, w must
@@ -79,31 +78,26 @@ func (v *VSource) Name() string { return v.Inst }
 // circuit is finalized).
 func (v *VSource) Branch() circuit.UnknownID { return v.branch }
 
-// Setup implements circuit.Device.
+// Setup implements circuit.Device. The incidence stamps are constant, so
+// the branch current in the KCL rows and v(P) − v(N) on the branch row
+// enter f without a per-evaluation stamp.
 func (v *VSource) Setup(ctx *circuit.SetupCtx) error {
 	v.branch = ctx.Branch(v.Inst)
 	// KCL rows: branch current leaves P, enters N.
-	v.slots[0] = ctx.G(v.P, v.branch)
-	v.slots[1] = ctx.G(v.N, v.branch)
+	ctx.ConstG(v.P, v.branch, 1)
+	ctx.ConstG(v.N, v.branch, -1)
 	// Branch row: v(P) − v(N) = W(t).
-	v.slots[2] = ctx.G(v.branch, v.P)
-	v.slots[3] = ctx.G(v.branch, v.N)
+	ctx.ConstG(v.branch, v.P, 1)
+	ctx.ConstG(v.branch, v.N, -1)
 	if v.Role == RoleData {
 		ctx.RegisterDataSource(v)
 	}
 	return nil
 }
 
-// Eval implements circuit.Device.
+// Eval implements circuit.Device: the source stamps −W(t) on its branch
+// row.
 func (v *VSource) Eval(ctx *circuit.EvalCtx) {
-	ib := ctx.V(v.branch)
-	ctx.AddF(v.P, ib)
-	ctx.AddF(v.N, -ib)
-	ctx.AddG(v.slots[0], 1)
-	ctx.AddG(v.slots[1], -1)
-	ctx.AddF(v.branch, ctx.V(v.P)-ctx.V(v.N))
-	ctx.AddG(v.slots[2], 1)
-	ctx.AddG(v.slots[3], -1)
 	ctx.AddSrc(v.branch, -v.W.V(ctx.T))
 }
 

@@ -474,7 +474,9 @@ func (r *Run) Close() error {
 		return nil
 	}
 	c.closed = true
+	// A closed run emits nothing more, so it lets its sinks go.
 	sinks := c.sinks
+	c.sinks = nil
 	c.mu.Unlock()
 	var firstErr error
 	for _, s := range sinks {

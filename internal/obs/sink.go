@@ -150,7 +150,7 @@ func WriteSummary(w io.Writer, sum *Summary) error {
 		fmt.Fprintf(w, "LU: %d factorizations\n", n)
 	}
 	if n := sum.Counters[CtrSensSolves]; n > 0 {
-		fmt.Fprintf(w, "sensitivities: %d solves, %d factorizations reused (gradient ≈ free)\n",
+		fmt.Fprintf(w, "sensitivities: %d solves sharing %d converged-state factorizations\n",
 			n, sum.Counters[CtrSensFactReused])
 	}
 	if n := sum.Counters[CtrPoints]; n > 0 {

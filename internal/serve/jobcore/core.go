@@ -58,6 +58,8 @@ type Config struct {
 	DumpDir string
 	// FlightRecorderSize bounds each job's flight-recorder ring in events
 	// (default obs.DefaultRecorderCapacity; negative disables recording).
+	// It is ignored without DumpDir: the dump is the recorder's only
+	// reader, so no job records then.
 	FlightRecorderSize int
 	// RuntimeSampleInterval is the runtime self-telemetry cadence feeding
 	// status snapshots and live job event streams (default 10s; negative
@@ -350,7 +352,11 @@ func (c *Core) SubmitBatch(jobs []latchchar.Job, corr string) (*Job, error) {
 func (c *Core) newJobLocked(key, corr string) *Job {
 	c.nextID++
 	id := fmt.Sprintf("j%08d", c.nextID)
-	j := newJob(id, key, corr, c.cfg.ProgressInterval, c.cfg.FlightRecorderSize)
+	recSize := -1
+	if c.cfg.DumpDir != "" {
+		recSize = c.cfg.FlightRecorderSize
+	}
+	j := newJob(id, key, corr, c.cfg.ProgressInterval, recSize)
 	c.jobs[id] = j
 	c.order = append(c.order, id)
 	for len(c.order) > c.cfg.MaxJobs {
@@ -465,6 +471,9 @@ func (c *Core) runJob(j *Job) {
 			c.cfg.Logger.Info("flight dump written", "corr", j.corr, "job", j.id, "path", path)
 		}
 	}
+	// The recorder has served its one reader; the retained job record must
+	// not carry a second copy of its event stream.
+	j.rec = nil
 	close(j.done)
 }
 

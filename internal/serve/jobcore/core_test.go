@@ -3,6 +3,8 @@ package jobcore
 import (
 	"errors"
 	"net/http"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -158,5 +160,31 @@ func TestMockJobMode(t *testing.T) {
 	}
 	if st.RunMS < 5 {
 		t.Errorf("mock job ran in %.2fms, want >= the configured service time", st.RunMS)
+	}
+}
+
+// The flight recorder exists only when a dump can be written, and no
+// finished job record keeps one: without DumpDir a job never records; with
+// it, a failed job writes its dump and then drops the recorder.
+func TestFlightRecorderOnlyWithDumpDir(t *testing.T) {
+	dir := t.TempDir()
+	for _, dumpDir := range []string{"", dir} {
+		c := newTestCore(t, Config{Workers: 1, DumpDir: dumpDir})
+		release := make(chan struct{})
+		j, _, err := c.Submit("k", "", blockingCell("k", release), latchchar.Options{}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (j.rec != nil) != (dumpDir != "") {
+			t.Errorf("DumpDir %q: recorder attached = %v", dumpDir, j.rec != nil)
+		}
+		close(release)
+		<-j.Done()
+		if j.rec != nil {
+			t.Errorf("DumpDir %q: finished job still holds its recorder", dumpDir)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "flight-j00000001.jsonl")); err != nil {
+		t.Errorf("failed job left no flight dump: %v", err)
 	}
 }

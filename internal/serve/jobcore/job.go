@@ -44,7 +44,7 @@ type Job struct {
 	mcOpts    latchchar.MCOptions
 
 	run     *obs.Run
-	rec     *obs.Recorder // flight recorder; nil when disabled
+	rec     *obs.Recorder // flight recorder; nil without DumpDir and once the job is final
 	created time.Time
 	done    chan struct{}
 

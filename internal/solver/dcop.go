@@ -9,7 +9,6 @@ import (
 	"math"
 
 	"latchchar/internal/circuit"
-	"latchchar/internal/linalg"
 )
 
 // ErrNoConvergence is returned when every solution strategy fails.
@@ -67,6 +66,7 @@ func DCOperatingPoint(c *circuit.Circuit, t float64, x0 []float64, opts DCOption
 	o := opts.withDefaults()
 	n := c.N()
 	ev := c.NewEval()
+	jac := ev.NewJacobian()
 	x := make([]float64, n)
 	if x0 != nil {
 		if len(x0) != n {
@@ -77,7 +77,7 @@ func DCOperatingPoint(c *circuit.Circuit, t float64, x0 []float64, opts DCOption
 	st := DCStats{}
 
 	// Plain Newton.
-	if iters, err := dcNewton(ev, x, t, 1.0, 0, o); err == nil {
+	if iters, err := dcNewton(ev, jac, x, t, 1.0, 0, o); err == nil {
 		st.Strategy = "newton"
 		st.Iterations = iters
 		st.Stages = 1
@@ -91,7 +91,7 @@ func DCOperatingPoint(c *circuit.Circuit, t float64, x0 []float64, opts DCOption
 	iters := 0
 	stages := 0
 	for _, g := range []float64{1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11, 1e-12, 0} {
-		it, err := dcNewton(ev, xg, t, 1.0, g, o)
+		it, err := dcNewton(ev, jac, xg, t, 1.0, g, o)
 		iters += it
 		stages++
 		if err != nil {
@@ -116,7 +116,7 @@ func DCOperatingPoint(c *circuit.Circuit, t float64, x0 []float64, opts DCOption
 	for alpha < 1 {
 		next := math.Min(1, alpha+step)
 		trial := append([]float64(nil), xs...)
-		it, err := dcNewton(ev, trial, t, next, 0, o)
+		it, err := dcNewton(ev, jac, trial, t, next, 0, o)
 		iters += it
 		stages++
 		if err != nil {
@@ -141,27 +141,12 @@ func DCOperatingPoint(c *circuit.Circuit, t float64, x0 []float64, opts DCOption
 
 // dcNewton runs damped Newton on f(x) + α·src(t) + g·x_nodes = 0, updating
 // x in place. It returns the iteration count.
-func dcNewton(ev *circuit.Eval, x []float64, t, alpha, gExtra float64, o DCOptions) (int, error) {
+func dcNewton(ev *circuit.Eval, jac *circuit.Jacobian, x []float64, t, alpha, gExtra float64, o DCOptions) (int, error) {
 	c := ev.Circuit()
 	n := c.N()
 	numNodes := c.NumNodes()
 	r := make([]float64, n)
 	dx := make([]float64, n)
-	j := linalg.NewMatrix(n, n)
-	var lu linalg.LU
-	// Cache the diagonal positions for the gmin-stepping conductance.
-	var diag []int
-	if gExtra > 0 {
-		diag = make([]int, numNodes)
-		ev.At(x, t) // ensure pattern values exist (indices are state-independent)
-		for i := 0; i < numNodes; i++ {
-			idx, ok := ev.G.Index(i, i)
-			if !ok {
-				return 0, fmt.Errorf("solver: node %d lacks a diagonal entry", i)
-			}
-			diag[i] = idx
-		}
-	}
 	for iter := 1; iter <= o.MaxIter; iter++ {
 		ev.At(x, t)
 		for i := 0; i < n; i++ {
@@ -170,15 +155,12 @@ func dcNewton(ev *circuit.Eval, x []float64, t, alpha, gExtra float64, o DCOptio
 		if gExtra > 0 {
 			for i := 0; i < numNodes; i++ {
 				r[i] += gExtra * x[i]
-				ev.G.Val[diag[i]] += gExtra
 			}
 		}
-		j.Zero()
-		ev.G.ScatterAdd(1, j)
-		if err := lu.Refactor(j); err != nil {
+		if err := jac.Factor(0, gExtra); err != nil {
 			return iter, fmt.Errorf("solver: Jacobian singular at iteration %d: %w", iter, err)
 		}
-		lu.SolveInto(r, dx)
+		jac.Solve(r, dx)
 		// Damping: limit the largest voltage move.
 		scale := 1.0
 		if o.MaxStep > 0 {

@@ -7,7 +7,6 @@ import (
 	"math"
 
 	"latchchar/internal/circuit"
-	"latchchar/internal/linalg"
 	"latchchar/internal/num"
 )
 
@@ -103,8 +102,7 @@ func RunAdaptiveCtx(ctx context.Context, ckt *circuit.Circuit, x0 []float64, t0,
 	}
 	o := opts.withDefaults(t1 - t0)
 	ev := ckt.NewEval()
-	j := linalg.NewMatrix(n, n)
-	var lu linalg.LU
+	jac := ev.NewJacobian()
 
 	x := append([]float64(nil), x0...)
 	xPrev := append([]float64(nil), x0...) // state at the previous accepted point
@@ -185,14 +183,11 @@ func RunAdaptiveCtx(ctx context.Context, ckt *circuit.Circuit, x0 []float64, t0,
 					r[i] = alpha*(ev.Q[i]-qPrev[i]) + ev.F[i] + ev.Src[i]
 				}
 			}
-			j.Zero()
-			ev.C.ScatterAdd(alpha, j)
-			ev.G.ScatterAdd(1, j)
 			res.Stats.Factorizations++
-			if err := lu.Refactor(j); err != nil {
+			if err := jac.Factor(alpha, 0); err != nil {
 				return res, fmt.Errorf("transient: adaptive factorization: %w", err)
 			}
-			lu.SolveInto(r, dx)
+			jac.Solve(r, dx)
 			res.Stats.NewtonIters++
 			conv := true
 			for i := 0; i < n; i++ {

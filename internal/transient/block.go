@@ -158,8 +158,8 @@ func (e *Engine) runLanes(ctx context.Context, x0 []float64, grid Grid, tSplit f
 
 // forkState lists the integrator state a step reads from the previous one;
 // the fork snapshot copies exactly these vectors.
-func (e *Engine) forkState() [8][]float64 {
-	return [8][]float64{e.x, e.qPrev, e.cPrev.Val, e.qdotPrev, e.ms, e.mh, e.msdotPrev, e.mhdot}
+func (e *Engine) forkState() [9][]float64 {
+	return [9][]float64{e.x, e.qPrev, e.qdotPrev, e.ms, e.mh, e.cms, e.cmh, e.msdotPrev, e.mhdot}
 }
 
 // saveFork snapshots the integrator state at the end of the shared prefix.

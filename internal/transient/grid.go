@@ -1,9 +1,10 @@
 // Package transient implements the time-domain simulation engine: fixed-grid
 // Backward-Euler and Trapezoidal integration of the MNA equations with
 // per-step Newton solves, plus forward propagation of the setup/hold skew
-// sensitivities mₛ = ∂x/∂τs and m_h = ∂x/∂τh (paper eqs. (9)–(13)), reusing
-// each converged step's LU factorization so the gradient of the
-// state-transition function costs two extra triangular solves per step.
+// sensitivities mₛ = ∂x/∂τs and m_h = ∂x/∂τh (paper eqs. (9)–(13)). The
+// gradient of the state-transition function costs, per step, one more
+// evaluation and factorization at the converged state plus two solves
+// against that one factorization.
 //
 // The time grid never depends on (τs, τh); this keeps the discretized
 // state-transition function smooth in the skews, which the Newton methods

@@ -9,10 +9,8 @@ import (
 	"time"
 
 	"latchchar/internal/circuit"
-	"latchchar/internal/linalg"
 	"latchchar/internal/num"
 	"latchchar/internal/obs"
-	"latchchar/internal/sparse"
 )
 
 // Method selects the integration scheme.
@@ -109,10 +107,11 @@ type Stats struct {
 	NewtonIters    int
 	Factorizations int
 	SensSolves     int
-	// SensFactorizationsReused counts steps whose sensitivity solves reused
-	// the converged-state LU factorization instead of building their own —
-	// the mechanism behind the paper's "essentially free gradient" (one
-	// factorization serves both Newton and the mₛ/m_h solves, DESIGN §5).
+	// SensFactorizationsReused counts steps whose two sensitivity solves
+	// (mₛ and m_h) shared one factorization of the converged-state
+	// Jacobian. That factorization is counted in Factorizations: it is the
+	// gradient's extra cost per step, on top of the Newton iterations
+	// (DESIGN §5).
 	SensFactorizationsReused int
 	// ChordIters, JacobianReuses and DeviceBypasses are always zero: every
 	// Newton iteration factors a fresh Jacobian and every device is
@@ -182,21 +181,20 @@ type Engine struct {
 	ev   *circuit.Eval
 	opts Options
 
-	j  *linalg.Matrix // α·C + G, scattered from the circuit's stamps
-	lu linalg.LU
+	jac *circuit.Jacobian // J = α·C + G, factored over the free unknowns
 
 	x, r, dx           []float64
 	qPrev              []float64
-	cPrev              *sparse.CSR
 	qdotPrev           []float64 // TRAP only
 	ms, mh             []float64
+	cms, cmh           []float64 // C·mₛ, C·m_h at the previous accepted state
 	msdotPrev, mhdot   []float64 // TRAP sensitivity derivative memory
 	zsVec, zhVec, rhsS []float64
-	scrA, scrB         []float64
+	scr                []float64
 
 	stats Stats
 
-	fork [8][]float64 // integrator state at a lane run's fork (saveFork)
+	fork [9][]float64 // integrator state at a lane run's fork (saveFork)
 
 	// Per-run observability state (set by RunObs, cleared by default Run).
 	timed      bool     // collect fine-grained wall-clock attribution
@@ -235,17 +233,17 @@ func NewEngine(c *circuit.Circuit, opts Options) *Engine {
 		qPrev: make([]float64, n),
 		ms:    make([]float64, n),
 		mh:    make([]float64, n),
-		j:     linalg.NewMatrix(n, n),
+		cms:   make([]float64, n),
+		cmh:   make([]float64, n),
+		jac:   ev.NewJacobian(),
 	}
-	e.cPrev = ev.C.Clone()
 	e.qdotPrev = make([]float64, n)
 	e.msdotPrev = make([]float64, n)
 	e.mhdot = make([]float64, n)
 	e.zsVec = make([]float64, n)
 	e.zhVec = make([]float64, n)
 	e.rhsS = make([]float64, n)
-	e.scrA = make([]float64, n)
-	e.scrB = make([]float64, n)
+	e.scr = make([]float64, n)
 	return e
 }
 
@@ -404,29 +402,24 @@ func (e *Engine) final() (x, ms, mh []float64) {
 	return x, ms, mh
 }
 
-// initAt seeds the integrator state at t0: the initial assembly fills qPrev,
-// cPrev and (for TRAP) the charge derivative qdot0 = −(f + src); the
-// sensitivities start at zero because x0 is fixed independent of the skews
-// (paper step 1c), with the TRAP derivative memory at −∂src/∂τ(t0), which
-// vanishes while the data line is quiescent. Both the scalar run and the
-// lane run initialize through here.
+// initAt seeds the integrator state at t0: the initial assembly fills qPrev
+// and (for TRAP) the charge derivative qdot0 = −(f + src); the
+// sensitivities (and with them C·m) start at zero because x0 is fixed
+// independent of the skews (paper step 1c), with the TRAP derivative
+// memory at −∂src/∂τ(t0), which vanishes while the data line is quiescent.
+// Both the scalar run and the lane run initialize through here.
 func (e *Engine) initAt(x0 []float64, t0 float64) {
 	n := e.c.N()
 	copy(e.x, x0)
 	e.evalAt(t0)
 	copy(e.qPrev, e.ev.Q)
-	if e.opts.Skews {
-		// cPrev only feeds the sensitivity recursions (eqs. (11)–(14)).
-		copy(e.cPrev.Val, e.ev.C.Val)
-	}
 	if e.opts.Method == TRAP {
 		for i := 0; i < n; i++ {
 			e.qdotPrev[i] = -(e.ev.F[i] + e.ev.Src[i])
 		}
 	}
-	for i := 0; i < n; i++ {
-		e.ms[i] = 0
-		e.mh[i] = 0
+	for _, v := range [][]float64{e.ms, e.mh, e.cms, e.cmh} {
+		clear(v)
 	}
 	if e.opts.Skews && e.opts.Method == TRAP {
 		e.zeroZ()
@@ -450,8 +443,8 @@ func (e *Engine) evalAt(t float64) {
 }
 
 // factorize assembles J = α·C + G from the last evaluation's stamps and
-// factors it, with optional LU wall-clock attribution and pprof phase
-// labels.
+// factors its free unknowns, with optional LU wall-clock attribution and
+// pprof phase labels.
 func (e *Engine) factorize(alpha float64) error {
 	if e.prof.active {
 		pprof.SetGoroutineLabels(e.prof.lu)
@@ -461,10 +454,7 @@ func (e *Engine) factorize(alpha float64) error {
 	if e.timed {
 		t0 = time.Now()
 	}
-	e.j.Zero()
-	e.ev.C.ScatterAdd(alpha, e.j)
-	e.ev.G.ScatterAdd(1, e.j)
-	err := e.lu.Refactor(e.j)
+	err := e.jac.Factor(alpha, 0)
 	e.stats.Factorizations++
 	if e.timed {
 		e.stats.LU += time.Since(t0)
@@ -480,11 +470,11 @@ func (e *Engine) solveNewton() {
 		defer pprof.SetGoroutineLabels(e.prof.transient)
 	}
 	if !e.timed {
-		e.lu.SolveInto(e.r, e.dx)
+		e.jac.Solve(e.r, e.dx)
 		return
 	}
 	t0 := time.Now()
-	e.lu.SolveInto(e.r, e.dx)
+	e.jac.Solve(e.r, e.dx)
 	e.stats.LU += time.Since(t0)
 }
 
@@ -495,7 +485,7 @@ func (e *Engine) zeroZ() {
 	}
 }
 
-// step advances the state from t0 to t1, updating x, qPrev, cPrev and the
+// step advances the state from t0 to t1, updating x, qPrev, C·m and the
 // sensitivities in place.
 func (e *Engine) step(t0, t1 float64) error {
 	n := e.c.N()
@@ -591,49 +581,44 @@ func (e *Engine) step(t0, t1 float64) error {
 		}
 	}
 	copy(e.qPrev, e.ev.Q)
-	if e.opts.Skews {
-		copy(e.cPrev.Val, e.ev.C.Val)
-	}
 	return nil
 }
 
 // sensBE advances the BE-discretized sensitivities (paper eq. (11)/(13)):
 // (C/Δt + G)·m = (C_prev/Δt)·m_prev − ∂src/∂τ. The solves back-substitute
-// against the engine's converged-state factorization.
+// against the engine's converged-state factorization, and C·m is kept for
+// the next step's right-hand side.
 func (e *Engine) sensBE(alpha float64) {
-	n := e.c.N()
-	for i := 0; i < n; i++ {
-		e.rhsS[i] = -e.zsVec[i]
-	}
-	e.cPrev.MulVecAdd(alpha, e.ms, e.rhsS)
-	e.lu.SolveInto(e.rhsS, e.ms)
-
-	for i := 0; i < n; i++ {
-		e.rhsS[i] = -e.zhVec[i]
-	}
-	e.cPrev.MulVecAdd(alpha, e.mh, e.rhsS)
-	e.lu.SolveInto(e.rhsS, e.mh)
+	e.sensBEOne(alpha, e.ms, e.cms, e.zsVec)
+	e.sensBEOne(alpha, e.mh, e.cmh, e.zhVec)
 	e.stats.SensSolves += 2
+}
+
+func (e *Engine) sensBEOne(alpha float64, m, cm, z []float64) {
+	for i := range e.rhsS {
+		e.rhsS[i] = alpha*cm[i] - z[i]
+	}
+	e.jac.Solve(e.rhsS, m)
+	e.ev.MulC(m, cm)
 }
 
 // sensTrap advances the TRAP-discretized sensitivities:
 // (2C/Δt + G)·m = (2C_prev/Δt)·m_prev + mdot_prev − ∂src/∂τ, with the
 // derivative memory mdot = d(q̇)/dτ propagated like q̇ itself.
 func (e *Engine) sensTrap(alpha float64) {
-	e.sensTrapOne(alpha, e.ms, e.msdotPrev, e.zsVec)
-	e.sensTrapOne(alpha, e.mh, e.mhdot, e.zhVec)
+	e.sensTrapOne(alpha, e.ms, e.cms, e.msdotPrev, e.zsVec)
+	e.sensTrapOne(alpha, e.mh, e.cmh, e.mhdot, e.zhVec)
 	e.stats.SensSolves += 2
 }
 
-func (e *Engine) sensTrapOne(alpha float64, m, mdot, z []float64) {
-	n := e.c.N()
-	e.cPrev.MulVec(m, e.scrA) // C_prev·m_prev
-	for i := 0; i < n; i++ {
-		e.rhsS[i] = alpha*e.scrA[i] + mdot[i] - z[i]
+func (e *Engine) sensTrapOne(alpha float64, m, cm, mdot, z []float64) {
+	for i := range e.rhsS {
+		e.rhsS[i] = alpha*cm[i] + mdot[i] - z[i]
 	}
-	e.lu.SolveInto(e.rhsS, m)
-	e.ev.C.MulVec(m, e.scrB) // C_new·m_new
-	for i := 0; i < n; i++ {
-		mdot[i] = alpha*(e.scrB[i]-e.scrA[i]) - mdot[i]
+	e.jac.Solve(e.rhsS, m)
+	e.ev.MulC(m, e.scr) // C_new·m_new
+	for i, v := range e.scr {
+		mdot[i] = alpha*(v-cm[i]) - mdot[i]
+		cm[i] = v
 	}
 }

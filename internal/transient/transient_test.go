@@ -491,3 +491,24 @@ func TestPlainStepElidesConvergedFactorization(t *testing.T) {
 		t.Errorf("skews run: %d factorizations, want NewtonIters+Steps = %d", resS.Stats.Factorizations, want)
 	}
 }
+
+// TestStepAllocationFree: once an engine exists, a time step — Newton
+// assembly, factorization and solves, and with Skews the sensitivity
+// solves — allocates nothing, for both integration methods.
+func TestStepAllocationFree(t *testing.T) {
+	ckt, _, x0 := buildClockedInverter(t)
+	for _, m := range []Method{BE, TRAP} {
+		e := NewEngine(ckt, Options{Method: m, Skews: true})
+		e.initAt(x0, 0)
+		tt := 0.0
+		allocs := testing.AllocsPerRun(50, func() {
+			if err := e.step(tt, tt+1e-11); err != nil {
+				t.Fatal(err)
+			}
+			tt += 1e-11
+		})
+		if allocs != 0 {
+			t.Errorf("%v: step allocates %v times", m, allocs)
+		}
+	}
+}
